@@ -83,17 +83,6 @@ void PrintAblation(report::BenchReport& report) {
       "paper's premise for why the 8 Gen 3 benefits.\n");
 }
 
-void BM_AblationDecode(benchmark::State& state) {
-  double gain = 0;
-  for (auto _ : state) {
-    const DecodeResult r =
-        DecodeWith(core::PlatformOptions::Snapdragon8Gen3());
-    gain = r.hetero / r.gpu_only;
-  }
-  state.counters["sim_gain"] = gain;
-}
-BENCHMARK(BM_AblationDecode)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

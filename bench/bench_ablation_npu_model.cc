@@ -87,17 +87,6 @@ void PrintAblation(report::BenchReport& report) {
       "matters because the stationary activation blocks are small.\n");
 }
 
-void BM_AblationReference(benchmark::State& state) {
-  double tok_s = 0;
-  for (auto _ : state) {
-    tok_s = RunWith(core::PlatformOptions::Snapdragon8Gen3(),
-                    "Hetero-tensor", 256, 0)
-                .prefill_tokens_per_s();
-  }
-  state.counters["sim_tok_per_s"] = tok_s;
-}
-BENCHMARK(BM_AblationReference)->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

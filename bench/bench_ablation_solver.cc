@@ -81,18 +81,6 @@ void PrintAblation(report::BenchReport& report) {
       "are tolerable').\n");
 }
 
-void BM_SolverDecision(benchmark::State& state) {
-  core::Platform platform;
-  core::HardwareProfiler profiler(&platform);
-  core::PartitionSolver solver(&profiler, &platform);
-  const core::MatmulShape ffn_down{256, 14336, 4096, hal::Precision::kFp16,
-                                   0.5};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.DecidePrefill(ffn_down));
-  }
-}
-BENCHMARK(BM_SolverDecision)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 }  // namespace heterollm
 

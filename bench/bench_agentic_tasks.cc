@@ -46,7 +46,6 @@ using model::ModelConfig;
 using serve::AdmissionPolicy;
 using serve::ServingMetrics;
 using serve::StageMetrics;
-using serve::TaskMetrics;
 using workload::StageKind;
 using workload::TaskSpec;
 
@@ -193,23 +192,6 @@ void PrintAgenticTasksComparison(report::BenchReport& report) {
       ReentryTtftUs(trace, runs[1]) / 1e3, ReentryTtftUs(trace, runs[2]) / 1e3,
       reentry_cut * 100.0, runs[2].prefix_hit_rate());
 }
-
-void BM_AgenticTasks(benchmark::State& state) {
-  const Config& config = kConfigs[state.range(0)];
-  const ModelConfig cfg = ModelConfig::InternLM1_8B();
-  model::ModelWeights weights =
-      model::ModelWeights::Create(cfg, model::ExecutionMode::kSimulate);
-  double p99_ms = 0;
-  for (auto _ : state) {
-    const ServingMetrics m = ServeOnce(weights, config);
-    p99_ms = m.task_latency_tail().p99 / 1e3;
-  }
-  state.counters["sim_task_p99_ms"] = p99_ms;
-  state.SetLabel(config.name);
-}
-BENCHMARK(BM_AgenticTasks)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace heterollm

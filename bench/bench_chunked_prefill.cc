@@ -129,32 +129,6 @@ void PrintChunkedPrefill(report::BenchReport& report) {
   benchx::EmitTable(report, "chunked_prefill", table);
 }
 
-void BM_ChunkedServe(benchmark::State& state) {
-  const int count = static_cast<int>(state.range(0));
-  const IterationPolicy policy = state.range(1) == 0
-                                     ? IterationPolicy::kPrefillFirst
-                                     : IterationPolicy::kHybridChunked;
-  const ModelConfig cfg = ModelConfig::InternLM1_8B();
-  model::ModelWeights weights =
-      model::ModelWeights::Create(cfg, model::ExecutionMode::kSimulate);
-  double tpot_p99_ms = 0;
-  double ttft_mean_ms = 0;
-  for (auto _ : state) {
-    const ServingMetrics m = ServeOnce(weights, count, policy);
-    tpot_p99_ms = m.tpot_tail().p99 / 1e3;
-    ttft_mean_ms = m.ttft_mean() / 1e3;
-  }
-  state.counters["sim_tpot_p99_ms"] = tpot_p99_ms;
-  state.counters["sim_ttft_mean_ms"] = ttft_mean_ms;
-  state.SetLabel(StrFormat(
-      "%d requests, %s", count,
-      state.range(1) == 0 ? "prefill_first" : "hybrid_chunked"));
-}
-BENCHMARK(BM_ChunkedServe)
-    ->Args({12, 0})->Args({12, 1})
-    ->Args({24, 0})->Args({24, 1})
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

@@ -165,26 +165,6 @@ void PrintClusterComparison(report::BenchReport& report) {
       goodput_gain);
 }
 
-void BM_ClusterServe(benchmark::State& state) {
-  const RoutingPolicy policy = static_cast<RoutingPolicy>(state.range(0));
-  const ModelConfig cfg = ModelConfig::InternLM1_8B();
-  model::ModelWeights weights =
-      model::ModelWeights::Create(cfg, model::ExecutionMode::kSimulate);
-  double goodput = 0;
-  double ttft_p99_ms = 0;
-  for (auto _ : state) {
-    const ClusterMetrics m = ServeOnce(weights, policy);
-    goodput = m.goodput_rps();
-    ttft_p99_ms = m.ttft_tail().p99 / 1e3;
-  }
-  state.counters["sim_goodput_rps"] = goodput;
-  state.counters["sim_ttft_p99_ms"] = ttft_p99_ms;
-  state.SetLabel(RoutingPolicyName(policy));
-}
-BENCHMARK(BM_ClusterServe)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

@@ -137,36 +137,22 @@ void AddServingMetrics(report::BenchReport& report, const std::string& prefix,
   AddExecutionReport(report, prefix, m.report);
 }
 
-namespace {
-
-// Strips the first "--flag=value" match from argv and returns its value.
-std::string ExtractFlag(int* argc, char** argv, const char* flag_prefix) {
-  const size_t prefix_len = std::strlen(flag_prefix);
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], flag_prefix, prefix_len) == 0) {
-      std::string value = argv[i] + prefix_len;
-      for (int j = i; j + 1 < *argc; ++j) {
-        argv[j] = argv[j + 1];
-      }
-      --*argc;
-      return value;
-    }
-  }
-  return "";
-}
-
-}  // namespace
-
 int BenchMain(int argc, char** argv, const char* bench_id,
               void (*print_fn)(report::BenchReport&)) {
-  const std::string report_path =
-      ExtractFlag(&argc, argv, "--report_json=");
+  constexpr const char kReportFlag[] = "--report_json=";
+  std::string report_path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], kReportFlag, sizeof(kReportFlag) - 1) == 0) {
+      report_path = argv[i] + sizeof(kReportFlag) - 1;
+    } else {
+      std::fprintf(stderr, "unknown flag: %s\nusage: %s [%s<path>]\n",
+                   argv[i], argv[0], kReportFlag);
+      return 2;
+    }
+  }
 
   report::BenchReport report(bench_id);
   print_fn(report);
-
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
 
   if (!report_path.empty()) {
     const Status status = report.WriteFile(report_path);

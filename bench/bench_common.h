@@ -2,20 +2,17 @@
 //
 // Every binary regenerates one table or figure from the paper's evaluation:
 // it prints the paper-style rows (plus paper-reported reference values where
-// the paper gives absolute numbers), registers google-benchmark timings for
-// the underlying simulation runs, and — via the shared main — feeds a
+// the paper gives absolute numbers) and — via the shared main — feeds a
 // report::BenchReport that `--report_json=<path>` serializes for the
-// perfgate CI pipeline (see EXPERIMENTS.md, "Perf reports").
+// perfgate CI pipeline (see EXPERIMENTS.md, "Perf reports"). Host-side
+// timing lives in the repository benchmark (perfbench/).
 //
-// A binary is three pieces:
+// A binary is two pieces:
 //   void PrintFigureN(report::BenchReport& report) { ... }   // rows+metrics
-//   BENCHMARK(BM_...);                                       // timing loops
 //   HETEROLLM_BENCH_MAIN("figN_name", PrintFigureN)          // shared main
 
 #ifndef BENCH_BENCH_COMMON_H_
 #define BENCH_BENCH_COMMON_H_
-
-#include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
@@ -75,19 +72,19 @@ void AddServingMetrics(report::BenchReport& report, const std::string& prefix,
 void AddExecutionReport(report::BenchReport& report, const std::string& prefix,
                         const core::ExecutionReport& er);
 
-// Shared main. Strips the harness flags from argv, runs `print_fn` against
-// a fresh BenchReport, hands the remaining flags to google-benchmark and
-// finally serializes the report when requested.
+// Shared main. Parses the harness flags, runs `print_fn` against a fresh
+// BenchReport and serializes the report when requested. Any other argument
+// is an error (exit 2).
 //
-// Harness flags (everything else goes to google-benchmark):
+// Harness flags:
 //   --report_json=<path>   write the schema-versioned JSON report
 int BenchMain(int argc, char** argv, const char* bench_id,
               void (*print_fn)(report::BenchReport&));
 
 }  // namespace heterollm::benchx
 
-// Every bench binary's entire main(): shared flag handling, report
-// plumbing and google-benchmark registration in one place.
+// Every bench binary's entire main(): shared flag handling and report
+// plumbing in one place.
 #define HETEROLLM_BENCH_MAIN(bench_id, print_fn)                     \
   int main(int argc, char** argv) {                                  \
     return ::heterollm::benchx::BenchMain(argc, argv, bench_id,      \

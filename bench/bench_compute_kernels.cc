@@ -131,11 +131,11 @@ void PrintComputeKernels(report::BenchReport& report) {
   // the weight reconstruction again. The cached image amortizes it to zero
   // after first touch.
   const Tensor a1 = Tensor::Random(Shape({1, 896}), rng);
-  const double percall_s = TimeSeconds(
-      [&] { benchmark::DoNotOptimize(ops::Matmul(a1, w.Dequantize())); });
+  const double percall_s =
+      TimeSeconds([&] { (void)ops::Matmul(a1, w.Dequantize()); });
   (void)w.DequantizedCached();  // pay the one-time build outside the timer
-  const double cached_s = TimeSeconds(
-      [&] { benchmark::DoNotOptimize(ops::MatmulQuant(a1, w)); });
+  const double cached_s =
+      TimeSeconds([&] { (void)ops::MatmulQuant(a1, w); });
   const double dequant_speedup = cached_s > 0 ? percall_s / cached_s : 0;
   std::printf(
       "Decode-shaped MatmulQuant (m=1): %.3f ms with per-call Dequantize, "
@@ -148,34 +148,6 @@ void PrintComputeKernels(report::BenchReport& report) {
       "Bit-exactness: every blocked kernel must match the scalar oracle "
       "with max |diff| == 0 (gated at tolerance 0).\n");
 }
-
-void BM_MatmulBlocked(benchmark::State& state) {
-  Rng rng(7);
-  const Tensor a = Tensor::Random(Shape({state.range(0), 896}), rng);
-  const Tensor b = Tensor::Random(Shape({896, 896}), rng);
-  KernelThreadScope scope(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ops::Matmul(a, b));
-  }
-}
-BENCHMARK(BM_MatmulBlocked)
-    ->Args({256, 1})
-    ->Args({256, 8})
-    ->Args({1, 1})
-    ->Args({1, 8});
-
-void BM_GqaAttentionBlocked(benchmark::State& state) {
-  Rng rng(8);
-  const tensor::AttentionParams ap{8, 2, 64, 0};
-  const Tensor q = Tensor::Random(Shape({state.range(0), 512}), rng);
-  const Tensor kc = Tensor::Random(Shape({state.range(0), 128}), rng);
-  const Tensor vc = Tensor::Random(Shape({state.range(0), 128}), rng);
-  KernelThreadScope scope(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::GqaAttention(q, kc, vc, ap));
-  }
-}
-BENCHMARK(BM_GqaAttentionBlocked)->Args({128, 1})->Args({128, 8});
 
 }  // namespace
 }  // namespace heterollm

@@ -79,19 +79,6 @@ void PrintFigure13(report::BenchReport& report) {
   }
 }
 
-void BM_Prefill(benchmark::State& state) {
-  const ModelConfig cfg = ModelConfig::Llama8B();
-  const char* engine = kEngines[static_cast<size_t>(state.range(0))];
-  double tok_s = 0;
-  for (auto _ : state) {
-    tok_s = RunEngineOnce(engine, cfg, 256, 0).prefill_tokens_per_s();
-  }
-  state.counters["sim_tok_per_s"] = tok_s;
-  state.SetLabel(engine);
-}
-BENCHMARK(BM_Prefill)->DenseRange(0, 5)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

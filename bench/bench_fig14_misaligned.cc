@@ -63,21 +63,6 @@ void PrintFigure14(report::BenchReport& report) {
                        {"vs Pipe", 1.35, speedup_pipe, "x"}});
 }
 
-void BM_Misaligned(benchmark::State& state) {
-  const char* engines[] = {"Online-prepare", "Padding", "Pipe",
-                           "Hetero-tensor"};
-  const char* engine = engines[static_cast<size_t>(state.range(0))];
-  double ms = 0;
-  for (auto _ : state) {
-    ms = ToMillis(
-        RunEngineOnce(engine, model::ModelConfig::Llama8B(), 525, 0).ttft());
-  }
-  state.counters["sim_latency_ms"] = ms;
-  state.SetLabel(engine);
-}
-BENCHMARK(BM_Misaligned)->DenseRange(0, 3)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

@@ -51,21 +51,6 @@ void PrintFigure15(report::BenchReport& report) {
   }
 }
 
-void BM_FastSyncPrefill(benchmark::State& state) {
-  core::EngineOptions opts;
-  opts.fast_sync = state.range(0) == 1;
-  double tok_s = 0;
-  for (auto _ : state) {
-    tok_s = RunEngineOnce("Hetero-tensor", model::ModelConfig::Llama8B(), 256,
-                          0, opts)
-                .prefill_tokens_per_s();
-  }
-  state.counters["sim_tok_per_s"] = tok_s;
-  state.SetLabel(opts.fast_sync ? "fast-sync" : "baseline-sync");
-}
-BENCHMARK(BM_FastSyncPrefill)->Arg(0)->Arg(1)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

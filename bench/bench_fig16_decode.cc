@@ -52,20 +52,6 @@ void PrintFigure16(report::BenchReport& report) {
        {"vs MLC (InternLM)", 2.62, grid[5][3] / grid[2][3], "x"}});
 }
 
-void BM_Decode(benchmark::State& state) {
-  const char* engines[] = {"PPL-OpenCL", "Hetero-tensor"};
-  const char* engine = engines[static_cast<size_t>(state.range(0))];
-  double tok_s = 0;
-  for (auto _ : state) {
-    tok_s = RunEngineOnce(engine, model::ModelConfig::Llama8B(), 256, 8)
-                .decode_tokens_per_s();
-  }
-  state.counters["sim_tok_per_s"] = tok_s;
-  state.SetLabel(engine);
-}
-BENCHMARK(BM_Decode)->Arg(0)->Arg(1)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

@@ -49,21 +49,6 @@ void PrintFigure17(report::BenchReport& report) {
       "each decode kernel runs only hundreds of microseconds.\n");
 }
 
-void BM_FastSyncDecode(benchmark::State& state) {
-  core::EngineOptions opts;
-  opts.fast_sync = state.range(0) == 1;
-  double tok_s = 0;
-  for (auto _ : state) {
-    tok_s = RunEngineOnce("Hetero-tensor", model::ModelConfig::Llama8B(), 256,
-                          8, opts)
-                .decode_tokens_per_s();
-  }
-  state.counters["sim_tok_per_s"] = tok_s;
-  state.SetLabel(opts.fast_sync ? "fast-sync" : "baseline-sync");
-}
-BENCHMARK(BM_FastSyncDecode)->Arg(0)->Arg(1)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

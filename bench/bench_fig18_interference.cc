@@ -89,19 +89,6 @@ void PrintFigure18(report::BenchReport& report) {
       "zero under PPL-OpenCL.\n");
 }
 
-void BM_InterferencePrefill(benchmark::State& state) {
-  const char* engines[] = {"PPL-OpenCL", "Hetero-tensor"};
-  const char* engine = engines[static_cast<size_t>(state.range(0))];
-  double fps = 0;
-  for (auto _ : state) {
-    fps = Measure(engine).fps;
-  }
-  state.counters["sim_fps"] = fps;
-  state.SetLabel(engine);
-}
-BENCHMARK(BM_InterferencePrefill)->Arg(0)->Arg(1)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

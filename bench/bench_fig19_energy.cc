@@ -59,19 +59,6 @@ void PrintFigure19(report::BenchReport& report) {
         (ppl.energy_j / 256) / (tensor.energy_j / 256), "x"}});
 }
 
-void BM_EnergyMeasurement(benchmark::State& state) {
-  const char* engines[] = {"PPL-OpenCL", "Hetero-layer", "Hetero-tensor"};
-  const char* engine = engines[static_cast<size_t>(state.range(0))];
-  double watts = 0;
-  for (auto _ : state) {
-    watts = Measure(engine).power_w;
-  }
-  state.counters["sim_watts"] = watts;
-  state.SetLabel(engine);
-}
-BENCHMARK(BM_EnergyMeasurement)->DenseRange(0, 2)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

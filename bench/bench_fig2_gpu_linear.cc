@@ -47,20 +47,6 @@ void PrintFigure2(report::BenchReport& report) {
                    "TFLOPS");
 }
 
-void BM_GpuMatmulCost(benchmark::State& state) {
-  core::Platform plat;
-  hal::GpuDevice& gpu = plat.gpu();
-  hal::MatmulSpec spec;
-  spec.m = state.range(0);
-  spec.n = state.range(0);
-  spec.k = state.range(0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gpu.CostMatmul(spec));
-  }
-  state.counters["sim_tflops"] = GpuTflopsAt(state.range(0));
-}
-BENCHMARK(BM_GpuMatmulCost)->Arg(64)->Arg(512)->Arg(4096);
-
 }  // namespace
 }  // namespace heterollm
 

@@ -49,20 +49,6 @@ void PrintFigure4(report::BenchReport& report) {
                    benchx::LowerIsBetter("us"));
 }
 
-void BM_NpuMatmulCost(benchmark::State& state) {
-  core::Platform plat;
-  hal::NpuDevice& npu = plat.npu();
-  hal::MatmulSpec spec;
-  spec.m = state.range(0);
-  spec.n = 2048;
-  spec.k = 2048;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(npu.CostMatmul(spec));
-  }
-  state.counters["sim_latency_us"] = NpuLatencyAt(state.range(0));
-}
-BENCHMARK(BM_NpuMatmulCost)->Arg(31)->Arg(32)->Arg(33)->Arg(64)->Arg(65);
-
 }  // namespace
 }  // namespace heterollm
 

@@ -51,17 +51,6 @@ void PrintFigure5(report::BenchReport& report) {
   report.AddAnchor("NPU order-sensitivity (max ratio)", 6.0, max_ratio, "x");
 }
 
-void BM_OrderSensitivity(benchmark::State& state) {
-  const bool reversed = state.range(0) == 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(reversed ? NpuTime(1024, 4096, 14336)
-                                      : NpuTime(14336, 4096, 1024));
-  }
-  state.counters["sim_ms"] = ToMillis(
-      reversed ? NpuTime(1024, 4096, 14336) : NpuTime(14336, 4096, 1024));
-}
-BENCHMARK(BM_OrderSensitivity)->Arg(0)->Arg(1);
-
 }  // namespace
 }  // namespace heterollm
 

@@ -85,17 +85,6 @@ void PrintFigure6(report::BenchReport& report) {
                    benchx::HigherIsBetter("GB/s"));
 }
 
-void BM_DecodeBandwidth(benchmark::State& state) {
-  const bool hetero = state.range(0) == 1;
-  double gbps = 0;
-  for (auto _ : state) {
-    gbps = DecodeBandwidth(hetero ? "Hetero-tensor" : "PPL-OpenCL");
-  }
-  state.counters["sim_gbps"] = gbps;
-}
-BENCHMARK(BM_DecodeBandwidth)->Arg(0)->Arg(1)->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

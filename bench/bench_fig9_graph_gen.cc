@@ -45,15 +45,6 @@ void PrintFigure9(report::BenchReport& report) {
                         ToMillis(model_cost(1000)), "ms"}});
 }
 
-void BM_GraphPrepare(benchmark::State& state) {
-  hal::NpuGraphCache cache;
-  int64_t op = 0;
-  for (auto _ : state) {
-    cache.Prepare({state.range(0), 4096, 4096, op++});
-  }
-}
-BENCHMARK(BM_GraphPrepare)->Arg(128)->Arg(1024);
-
 }  // namespace
 }  // namespace heterollm
 

@@ -27,7 +27,6 @@ namespace {
 using model::KvCache;
 using model::ModelConfig;
 using serve::RequestQueue;
-using serve::SchedulerOptions;
 using serve::ServingMetrics;
 
 constexpr const char* kEngine = "Hetero-tensor";
@@ -121,24 +120,6 @@ void PrintPrefixReuseComparison(report::BenchReport& report) {
       off.peak_active_sessions, on.peak_active_sessions,
       on.prefix_hit_rate());
 }
-
-void BM_PrefixReuse(benchmark::State& state) {
-  const bool enable = state.range(0) != 0;
-  const ModelConfig cfg = ModelConfig::InternLM1_8B();
-  model::ModelWeights weights =
-      model::ModelWeights::Create(cfg, model::ExecutionMode::kSimulate);
-  const RequestQueue trace = MakeTrace();
-  double ttft_mean_ms = 0;
-  for (auto _ : state) {
-    const ServingMetrics m = ServeOnce(weights, trace, enable);
-    ttft_mean_ms = MeanTtftUs(m) / 1e3;
-  }
-  state.counters["sim_ttft_mean_ms"] = ttft_mean_ms;
-  state.SetLabel(enable ? "prefix cache on" : "prefix cache off");
-}
-BENCHMARK(BM_PrefixReuse)
-    ->Arg(0)->Arg(1)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace heterollm

@@ -26,7 +26,6 @@ using model::ModelConfig;
 using serve::IterationPolicy;
 using serve::RequestQueue;
 using serve::SchedulePolicy;
-using serve::SchedulerOptions;
 using serve::ServingMetrics;
 
 constexpr const char* kEngine = "Hetero-tensor";
@@ -137,32 +136,6 @@ void PrintServingComparison(report::BenchReport& report) {
   }
   benchx::EmitTable(report, "serving_throughput_mixed", mixed_table);
 }
-
-void BM_Serve(benchmark::State& state) {
-  const int sessions = static_cast<int>(state.range(0));
-  const SchedulePolicy policy = state.range(1) == 0
-                                    ? SchedulePolicy::kSerial
-                                    : SchedulePolicy::kContinuousBatching;
-  const ModelConfig cfg = ModelConfig::InternLM1_8B();
-  model::ModelWeights weights =
-      model::ModelWeights::Create(cfg, model::ExecutionMode::kSimulate);
-  double tok_s = 0;
-  double ttft_p99_ms = 0;
-  for (auto _ : state) {
-    const ServingMetrics m = ServeOnce(weights, sessions, policy);
-    tok_s = m.aggregate_tokens_per_s();
-    ttft_p99_ms = m.ttft_p99() / 1e3;
-  }
-  state.counters["sim_agg_tok_per_s"] = tok_s;
-  state.counters["sim_ttft_p99_ms"] = ttft_p99_ms;
-  state.SetLabel(StrFormat("%d sessions, %s", sessions,
-                           state.range(1) == 0 ? "serial" : "continuous"));
-}
-BENCHMARK(BM_Serve)
-    ->Args({4, 0})->Args({4, 1})
-    ->Args({8, 0})->Args({8, 1})
-    ->Args({16, 0})->Args({16, 1})
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace heterollm

@@ -36,7 +36,6 @@ namespace {
 using model::KvCache;
 using model::ModelConfig;
 using serve::RequestQueue;
-using serve::SchedulerOptions;
 using serve::ServingMetrics;
 using serve::SpeculativeDecoder;
 using serve::SpeculativeOptions;
@@ -249,22 +248,6 @@ void PrintSpeculative(report::BenchReport& report) {
       base_tok_s, ngram.stats.tokens_per_s(), draft.stats.tokens_per_s(),
       off.decode_tokens_per_s(), on.decode_tokens_per_s());
 }
-
-void BM_SpeculativeDecode(benchmark::State& state) {
-  const int window = static_cast<int>(state.range(0));
-  double tok_per_step = 0;
-  for (auto _ : state) {
-    const SingleSessionResult r = RunSingleSession(
-        window, /*use_draft_model=*/false,
-        /*sim_acceptance=*/window > 0 ? 0.45 : 0.0);
-    tok_per_step = r.stats.tokens_per_step();
-  }
-  state.counters["sim_tokens_per_step"] = tok_per_step;
-  state.SetLabel(window > 0 ? "n-gram speculation" : "plain greedy");
-}
-BENCHMARK(BM_SpeculativeDecode)
-    ->Arg(0)->Arg(kWindow)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace heterollm

@@ -32,13 +32,6 @@ void PrintTable1(report::BenchReport& report) {
       "(paper footnote).\n");
 }
 
-void BM_SocSpecLookup(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim::FindSocSpec("8 Gen 3"));
-  }
-}
-BENCHMARK(BM_SocSpecLookup);
-
 }  // namespace
 }  // namespace heterollm
 

@@ -29,18 +29,6 @@ void PrintTable2(report::BenchReport& report) {
                    benchx::Calibration("count", /*tolerance=*/0));
 }
 
-void BM_EngineConstruction(benchmark::State& state) {
-  const model::ModelConfig cfg = model::ModelConfig::InternLM1_8B();
-  model::ModelWeights weights =
-      model::ModelWeights::Create(cfg, model::ExecutionMode::kSimulate);
-  for (auto _ : state) {
-    core::Platform platform;
-    auto engine = core::CreateEngine("Hetero-tensor", &platform, &weights);
-    benchmark::DoNotOptimize(engine);
-  }
-}
-BENCHMARK(BM_EngineConstruction)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 }  // namespace heterollm
 

@@ -31,7 +31,6 @@ namespace {
 
 using model::ModelConfig;
 using serve::RequestQueue;
-using serve::SchedulerOptions;
 using serve::ServingMetrics;
 
 constexpr const char* kEngine = "Hetero-tensor";
@@ -159,26 +158,6 @@ void PrintThrottlingComparison(report::BenchReport& report) {
         reactive.frequency_factor[u], benchx::Calibration(""));
   }
 }
-
-void BM_Throttled(benchmark::State& state) {
-  const bool reactive = state.range(0) != 0;
-  const ModelConfig cfg = ModelConfig::Llama8B();
-  model::ModelWeights weights =
-      model::ModelWeights::Create(cfg, model::ExecutionMode::kSimulate);
-  double decode_tok_s = 0;
-  double ttft_p99_ms = 0;
-  for (auto _ : state) {
-    const ThrottledRun run = ServeOnce(weights, reactive);
-    decode_tok_s = run.metrics.decode_tokens_per_s();
-    ttft_p99_ms = run.metrics.ttft_p99() / 1e3;
-  }
-  state.counters["sim_decode_tok_per_s"] = decode_tok_s;
-  state.counters["sim_ttft_p99_ms"] = ttft_p99_ms;
-  state.SetLabel(reactive ? "reactive re-planning" : "frozen plans");
-}
-BENCHMARK(BM_Throttled)
-    ->Arg(0)->Arg(1)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace heterollm

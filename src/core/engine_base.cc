@@ -17,6 +17,16 @@ using tensor::QuantizedTensor;
 using tensor::Shape;
 using tensor::Tensor;
 
+namespace {
+
+// A multi-slot batch keeps every row's logits: with one row per slot each
+// row is its session's last position, and a batched verify reads them all.
+bool KeepsAllRowLogits(const StepBatch& batch) {
+  return batch.all_rows_logits || batch.caches.size() > 1;
+}
+
+}  // namespace
+
 EngineBase::EngineBase(Platform* platform,
                        const model::ModelWeights* weights,
                        const EngineOptions& options)
@@ -50,113 +60,26 @@ void EngineBase::AcquireWorkspace() {
   }
 }
 
-void EngineBase::ResetSession() {
-  kv_cache_->Reset();
-  synced_kernels_.clear();
-}
-
-model::KvCache& EngineBase::session_cache(size_t slot) {
-  if (batch_caches_.empty()) {
-    HCHECK(slot == 0);
-    return *kv_cache_;
+PhaseStats EngineBase::Step(const StepBatch& batch) {
+  if (batch.caches.empty()) {
+    StepBatch own = batch;
+    own.caches = {kv_cache_.get()};
+    return EngineBase::Step(own);
   }
-  HCHECK(slot < batch_caches_.size());
-  return *batch_caches_[slot];
-}
-
-PhaseStats EngineBase::PrefillInto(model::KvCache* cache,
-                                   const Tensor& prompt) {
-  HCHECK(cache != nullptr);
-  HCHECK_MSG(batch_caches_.empty(), "serving iteration already in flight");
-  batch_caches_ = {cache};
-  PhaseStats stats = Prefill(prompt);
-  batch_caches_.clear();
-  return stats;
-}
-
-PhaseStats EngineBase::PrefillFrom(model::KvCache* cache,
-                                   const Tensor& prompt, int64_t start_pos) {
-  HCHECK(start_pos >= 0 && start_pos < prompt.shape().rows());
-  return PrefillChunk(cache, prompt, start_pos,
-                      prompt.shape().rows() - start_pos);
-}
-
-PhaseStats EngineBase::PrefillChunk(model::KvCache* cache,
-                                    const Tensor& prompt, int64_t offset,
-                                    int64_t len) {
-  HCHECK(cache != nullptr);
-  HCHECK(offset >= 0 && len >= 1 && offset + len <= prompt.shape().rows());
-  HCHECK_MSG(cache->length() == offset,
-             "cache length must equal the chunk start offset");
-  if (offset == 0 && len == prompt.shape().rows()) {
-    return PrefillInto(cache, prompt);
+  for (const model::KvCache* cache : batch.caches) {
+    HCHECK_MSG(cache != nullptr, "null KV cache in the step batch");
   }
-  return PrefillInto(cache, prompt.SliceRows(offset, offset + len));
-}
-
-PhaseStats EngineBase::DecodeInto(model::KvCache* cache, const Tensor& token) {
-  HCHECK(cache != nullptr);
-  HCHECK_MSG(batch_caches_.empty(), "serving iteration already in flight");
-  batch_caches_ = {cache};
-  PhaseStats stats = DecodeStep(token);
-  batch_caches_.clear();
-  return stats;
-}
-
-PhaseStats EngineBase::BatchedDecodeStep(
-    const std::vector<model::KvCache*>& caches) {
-  HCHECK(!caches.empty());
-  HCHECK_MSG(batch_caches_.empty(), "serving iteration already in flight");
-  for (model::KvCache* cache : caches) {
-    HCHECK(cache != nullptr);
-  }
-  // Batched decoding shares one forward pass across sessions whose cache
-  // contents differ; the serving layer is a timing simulation.
-  HCHECK_MSG(mode_ == ExecutionMode::kSimulate,
-             "batched decoding is timing-only (ExecutionMode::kSimulate)");
-  batch_caches_ = caches;
-  const Tensor tokens = Tensor::Deferred(
-      Shape({static_cast<int64_t>(caches.size()), weights_->config().hidden}),
-      tensor::DType::kFp16);
-  PhaseStats stats = DecodeStep(tokens);
-  batch_caches_.clear();
-  return stats;
-}
-
-PhaseStats EngineBase::VerifyInto(model::KvCache* cache,
-                                  const Tensor& tokens) {
-  HCHECK(cache != nullptr);
-  HCHECK(tokens.shape().rank() == 2);
-  HCHECK(tokens.shape().cols() == weights_->config().hidden);
-  HCHECK_MSG(batch_caches_.empty(), "serving iteration already in flight");
-  batch_caches_ = {cache};
-  all_rows_logits_ = true;
-  PhaseStats stats = DecodeStep(tokens);
-  all_rows_logits_ = false;
-  batch_caches_.clear();
-  return stats;
-}
-
-PhaseStats EngineBase::BatchedVerifyStep(
-    const std::vector<model::KvCache*>& caches, int64_t rows_per_slot) {
-  HCHECK(!caches.empty());
-  HCHECK(rows_per_slot >= 1);
-  HCHECK_MSG(batch_caches_.empty(), "serving iteration already in flight");
-  for (model::KvCache* cache : caches) {
-    HCHECK(cache != nullptr);
-  }
-  HCHECK_MSG(mode_ == ExecutionMode::kSimulate,
-             "batched verify is timing-only (ExecutionMode::kSimulate)");
-  batch_caches_ = caches;
-  serving_rows_per_slot_ = rows_per_slot;
-  const Tensor tokens = Tensor::Deferred(
-      Shape({static_cast<int64_t>(caches.size()) * rows_per_slot,
-             weights_->config().hidden}),
-      tensor::DType::kFp16);
-  PhaseStats stats = DecodeStep(tokens);
-  serving_rows_per_slot_ = 1;
-  batch_caches_.clear();
-  return stats;
+  const Shape& shape = batch.input.shape();
+  const int64_t slots = static_cast<int64_t>(batch.caches.size());
+  HCHECK(shape.rank() == 2);
+  HCHECK_MSG(shape.rows() >= slots, "every slot needs at least one row");
+  HCHECK_MSG(shape.rows() % slots == 0,
+             "input rows must be a multiple of the slot count");
+  HCHECK_MSG(shape.cols() == weights_->config().hidden,
+             "input width must equal the model's hidden size");
+  HCHECK_MSG(slots == 1 || mode_ == ExecutionMode::kSimulate,
+             "a multi-slot batch is timing-only (ExecutionMode::kSimulate)");
+  return RunStack(batch);
 }
 
 void EngineBase::PregenerateNpuGraphs(const std::vector<int64_t>& seq_lens,
@@ -557,74 +480,74 @@ EngineBase::Value EngineBase::Rope(Value& x, int64_t pos_offset) {
   return SubmitKernel(dev, desc, {&x}, std::move(out));
 }
 
-EngineBase::Value EngineBase::Attention(Value& q, int layer,
-                                        int64_t pos_offset) {
+EngineBase::Value EngineBase::AttendLayer(const StepBatch& batch, int layer,
+                                          Value& q, Value& k, Value& v) {
   const auto& cfg = weights_->config();
-  model::KvCache& cache = session_cache(0);
+  const size_t slots = batch.caches.size();
+  const int64_t per = batch.input.shape().rows() / static_cast<int64_t>(slots);
+  // The cache append itself is a strided device-side write folded into the
+  // projection kernels; attention's kernel dependencies flow through q/k/v.
+  if (slots == 1) {
+    batch.caches[0]->AppendLayer(layer, k.tensor, v.tensor);
+  } else {
+    for (size_t slot = 0; slot < slots; ++slot) {
+      const int64_t r = static_cast<int64_t>(slot) * per;
+      batch.caches[slot]->AppendLayer(layer, k.tensor.SliceRows(r, r + per),
+                                      v.tensor.SliceRows(r, r + per));
+    }
+  }
+  // Attention (on the vector backend) must see k/v results.
   hal::Device& dev = platform_->device(vector_backend());
-  hal::AttentionSpec spec;
-  spec.m = q.tensor.shape().rows();
-  // Causal attention: query row i attends to pos_offset + i + 1 positions;
-  // charge the average span rather than the full rectangle.
-  const int64_t kv_len = cache.K(layer).shape().rows();
-  spec.t = kv_len - spec.m + (spec.m + 1) / 2;
-  spec.num_heads = cfg.num_heads;
-  spec.num_kv_heads = cfg.num_kv_heads;
-  spec.head_dim = cfg.head_dim;
-  sim::KernelDesc desc = dev.CostAttention(spec);
-  desc.label = StrFormat("attn:L%d", layer);
+  EnsureVisible(k, dev);
+  EnsureVisible(v, dev);
 
-  tensor::AttentionParams params;
-  params.num_heads = cfg.num_heads;
-  params.num_kv_heads = cfg.num_kv_heads;
-  params.head_dim = cfg.head_dim;
-  params.q_pos_offset = pos_offset;
-  Tensor out = tensor::GqaAttention(q.tensor, cache.K(layer), cache.V(layer),
-                                    params);
-  return SubmitKernel(dev, desc, {&q}, std::move(out));
-}
-
-EngineBase::Value EngineBase::BatchedAttention(Value& q, int layer) {
-  const auto& cfg = weights_->config();
-  hal::Device& dev = platform_->device(vector_backend());
-  // One attention kernel per session: each slot reads its own cache length,
-  // so the cost tracks every conversation's true history (the part of a
-  // decode iteration that does NOT amortize with batching). A slot covers
-  // one query row in plain continuous batching, window+1 rows during a
-  // batched speculative verify.
-  const int64_t per = serving_rows_per_slot_;
   Value merged;
-  for (size_t slot = 0; slot < session_count(); ++slot) {
+  for (model::KvCache* cache : batch.caches) {
+    // Causal: query row i of the slot attends to kv_len - per + i + 1
+    // positions; charge the average span rather than the full rectangle.
+    const int64_t kv_len = cache->K(layer).shape().rows();
     hal::AttentionSpec spec;
     spec.m = per;
-    // Causal: query row i of the slot attends to kv_len - per + i + 1
-    // positions; charge the average span (matches Attention above).
-    const int64_t kv_len = session_cache(slot).K(layer).shape().rows();
     spec.t = kv_len - per + (per + 1) / 2;
     spec.num_heads = cfg.num_heads;
     spec.num_kv_heads = cfg.num_kv_heads;
     spec.head_dim = cfg.head_dim;
     sim::KernelDesc desc = dev.CostAttention(spec);
     desc.label = StrFormat("attn:L%d", layer);
-    Tensor out =
-        Tensor::Deferred(Shape({per, cfg.q_dim()}), tensor::DType::kFp16);
+    Tensor out;
+    if (slots == 1) {
+      tensor::AttentionParams params;
+      params.num_heads = cfg.num_heads;
+      params.num_kv_heads = cfg.num_kv_heads;
+      params.head_dim = cfg.head_dim;
+      params.q_pos_offset = kv_len - per;
+      out = tensor::GqaAttention(q.tensor, cache->K(layer), cache->V(layer),
+                                 params);
+    } else {
+      out = Tensor::Deferred(Shape({per, cfg.q_dim()}), tensor::DType::kFp16);
+    }
     Value piece = SubmitKernel(dev, desc, {&q}, std::move(out));
+    if (slots == 1) {
+      return piece;
+    }
     merged.deps.insert(merged.deps.end(), piece.deps.begin(),
                        piece.deps.end());
   }
-  merged.tensor = Tensor::Deferred(
-      Shape({static_cast<int64_t>(session_count()) * per, cfg.q_dim()}),
-      tensor::DType::kFp16);
+  merged.tensor =
+      Tensor::Deferred(Shape({static_cast<int64_t>(slots) * per, cfg.q_dim()}),
+                       tensor::DType::kFp16);
   return merged;
 }
 
-EngineBase::Value EngineBase::RunLayer(int layer, Value hidden, Phase phase) {
+EngineBase::Value EngineBase::RunLayer(const StepBatch& batch, int layer,
+                                       Value hidden) {
   current_layer_ = layer;
+  const Phase phase = batch.phase;
   const model::LayerWeights& lw = weights_->layer(layer);
-  // In a serving batch the sessions sit at different positions; slot 0's
+  // In a multi-slot batch the sessions sit at different positions; slot 0's
   // offset prices the RoPE kernel (cost is position-independent) while
-  // appends/attention below use each slot's own cache.
-  const int64_t past = session_cache(0).length();
+  // appends/attention use each slot's own cache.
+  const int64_t past = batch.caches[0]->length();
 
   Value normed = RmsNorm(hidden, lw.attn_norm);
   Value q = ExecuteMatmul(MatmulSite::kQ, normed, lw.wq, phase);
@@ -632,26 +555,7 @@ EngineBase::Value EngineBase::RunLayer(int layer, Value hidden, Phase phase) {
   Value v = ExecuteMatmul(MatmulSite::kV, normed, lw.wv, phase);
   Value q_rot = Rope(q, past);
   Value k_rot = Rope(k, past);
-
-  // The cache append itself is a strided device-side write folded into the
-  // projection kernels; attention's kernel dependencies flow through q/k/v.
-  if (serving_batch()) {
-    const int64_t per = serving_rows_per_slot_;
-    for (size_t slot = 0; slot < session_count(); ++slot) {
-      const int64_t r = static_cast<int64_t>(slot) * per;
-      session_cache(slot).AppendLayer(layer,
-                                      k_rot.tensor.SliceRows(r, r + per),
-                                      v.tensor.SliceRows(r, r + per));
-    }
-  } else {
-    session_cache(0).AppendLayer(layer, k_rot.tensor, v.tensor);
-  }
-  // Attention (on the vector backend) must see k/v results.
-  hal::Device& vec_dev = platform_->device(vector_backend());
-  EnsureVisible(k_rot, vec_dev);
-  EnsureVisible(v, vec_dev);
-  Value attn = serving_batch() ? BatchedAttention(q_rot, layer)
-                               : Attention(q_rot, layer, past);
+  Value attn = AttendLayer(batch, layer, q_rot, k_rot, v);
 
   Value o = ExecuteMatmul(MatmulSite::kO, attn, lw.wo, phase);
   Value h1 = Add(hidden, o);
@@ -663,36 +567,30 @@ EngineBase::Value EngineBase::RunLayer(int layer, Value hidden, Phase phase) {
   return Add(h1, down);
 }
 
-PhaseStats EngineBase::RunStack(const Tensor& input, Phase phase) {
+PhaseStats EngineBase::RunStack(const StepBatch& batch) {
   // Pin the compute-kernel thread count for everything this step runs
   // (matmuls, norms, attention). Numerics are bit-exact across settings;
   // only host wall-clock changes.
   tensor::KernelThreadScope kernel_scope(options_.kernel_threads);
   RefreshDeviceState();
+  synced_kernels_.clear();
   // One transactional KV step per session slot: every layer must append its
   // rows before the commit below, or the cache aborts — the per-layer
   // "all layers appended the same rows" contract is enforced here instead
   // of trusted.
-  const int64_t per_slot =
-      serving_batch() ? serving_rows_per_slot_ : input.shape().rows();
-  HCHECK(per_slot * static_cast<int64_t>(session_count()) ==
-         input.shape().rows());
-  for (size_t slot = 0; slot < session_count(); ++slot) {
-    session_cache(slot).BeginStep(per_slot);
+  const int64_t rows = batch.input.shape().rows();
+  const int64_t per_slot = rows / static_cast<int64_t>(batch.caches.size());
+  for (model::KvCache* cache : batch.caches) {
+    cache->BeginStep(per_slot);
   }
-  PhaseStats stats;
-  if (!options_.use_compiled_schedule) {
-    stats = RunStackLegacy(input, phase);
-  } else {
-    // A speculative verify wants every row's logits — exactly the serving
-    // schedule's shape (kLastRows = identity, LM head planned at full m), so
-    // the two share cache entries.
-    const graph::CompiledSchedule& sched = ScheduleFor(
-        phase, input.shape().rows(), serving_batch() || all_rows_logits_);
-    stats = ScheduleExecutor(this).Run(sched, input);
-  }
-  for (size_t slot = 0; slot < session_count(); ++slot) {
-    session_cache(slot).CommitStep();
+  PhaseStats stats =
+      options_.use_compiled_schedule
+          ? ScheduleExecutor(this).Run(
+                ScheduleFor(batch.phase, rows, KeepsAllRowLogits(batch)),
+                batch)
+          : RunStackLegacy(batch);
+  for (model::KvCache* cache : batch.caches) {
+    cache->CommitStep();
   }
   return stats;
 }
@@ -793,50 +691,36 @@ void EngineBase::RefreshDeviceState() {
   host_now_ += options_.replan_cost_us;
 }
 
-PhaseStats EngineBase::RunStackLegacy(const Tensor& input, Phase phase) {
+PhaseStats EngineBase::RunStackLegacy(const StepBatch& batch) {
   const MicroSeconds start = host_now_;
   graph_gen_accum_ = 0;
 
   Value hidden;
-  hidden.tensor = input;
+  hidden.tensor = batch.input;
   for (int layer = 0; layer < weights_->config().num_layers; ++layer) {
-    hidden = RunLayer(layer, std::move(hidden), phase);
+    hidden = RunLayer(batch, layer, std::move(hidden));
   }
   Value final_norm = RmsNorm(hidden, weights_->final_norm());
 
-  // LM head over the last position only — unless every row's logits are
-  // needed: in a serving batch each row is its session's last position, and
-  // a speculative verify reads the argmax at every draft position.
+  // LM head over the last position only, unless the batch keeps every row.
   const int64_t rows = final_norm.tensor.shape().rows();
   Value last;
-  last.tensor = serving_batch() || all_rows_logits_
+  last.tensor = KeepsAllRowLogits(batch)
                     ? final_norm.tensor
                     : final_norm.tensor.SliceRows(rows - 1, rows);
   last.deps = final_norm.deps;
-  Value logits =
-      ExecuteMatmul(MatmulSite::kLmHead, last, weights_->lm_head(), phase);
+  Value logits = ExecuteMatmul(MatmulSite::kLmHead, last, weights_->lm_head(),
+                               batch.phase);
   EnsureHost(logits);
   EnsureHost(final_norm);
 
   PhaseStats stats;
   stats.latency = host_now_ - start;
   stats.graph_gen_time = graph_gen_accum_;
-  stats.tokens = static_cast<int>(input.shape().rows());
+  stats.tokens = static_cast<int>(rows);
   stats.hidden = std::move(final_norm.tensor);
   stats.logits = std::move(logits.tensor);
   return stats;
-}
-
-PhaseStats EngineBase::Prefill(const Tensor& prompt) {
-  HCHECK(prompt.shape().rank() == 2);
-  HCHECK(prompt.shape().cols() == weights_->config().hidden);
-  return RunStack(prompt, Phase::kPrefill);
-}
-
-PhaseStats EngineBase::DecodeStep(const Tensor& token) {
-  HCHECK(token.shape().rank() == 2);
-  HCHECK(token.shape().cols() == weights_->config().hidden);
-  return RunStack(token, Phase::kDecode);
 }
 
 GenerationStats EngineBase::Generate(int prompt_len, int decode_len) {

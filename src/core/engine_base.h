@@ -127,99 +127,61 @@ struct EngineOptions {
   int kernel_threads = 0;
 };
 
-class InferenceEngine {
- public:
-  virtual ~InferenceEngine() = default;
-  virtual std::string name() const = 0;
-
-  // Processes the prompt `[M, hidden]`, filling the KV cache.
-  virtual PhaseStats Prefill(const tensor::Tensor& prompt) = 0;
-
-  // One decoding step with input `[width, hidden]` (width > 1 for
-  // speculative decoding).
-  virtual PhaseStats DecodeStep(const tensor::Tensor& token) = 0;
-
-  // Clears the KV cache and per-session state (clocks keep advancing).
-  virtual void ResetSession() = 0;
+// One pass through the decoder stack. Prefill, decode, prefill chunks and
+// speculative verifies are the same operation (§4.1–4.2 partition the stack
+// by phase and row count); they differ only in the fields below.
+struct StepBatch {
+  Phase phase = Phase::kPrefill;
+  // One KV cache per session slot; empty runs against the engine's own
+  // session cache. Each slot's rows attend over — and RoPE continues from —
+  // what its cache already holds, so a prefix-cache hit or an earlier chunk
+  // is resumed by passing only the rows still to run.
+  std::vector<model::KvCache*> caches;
+  // [slots × rows_per_slot, hidden]: rows [i·r, (i+1)·r) extend slot i.
+  // Deferred (shape-only) in ExecutionMode::kSimulate. More than one slot
+  // shares one forward pass over caches whose contents differ, so a
+  // multi-slot batch is timing-only (requires kSimulate).
+  tensor::Tensor input;
+  // Keep every row's logits through the LM head: a speculative verify reads
+  // the argmax at each draft position. Otherwise only the last row reaches
+  // the head; a multi-slot batch always keeps every row.
+  bool all_rows_logits = false;
 };
 
 // EngineBase doubles as the graph placement policy (graph::PlacementPolicy):
 // the same PlanMatmul/vector_backend virtuals that drive the legacy loop
 // drive the placement pass, so concrete engines stay pure policy.
-class EngineBase : public InferenceEngine, public graph::PlacementPolicy {
+class EngineBase : public graph::PlacementPolicy {
  public:
   EngineBase(Platform* platform, const model::ModelWeights* weights,
              const EngineOptions& options);
 
-  PhaseStats Prefill(const tensor::Tensor& prompt) override;
-  PhaseStats DecodeStep(const tensor::Tensor& token) override;
-  void ResetSession() override;
+  virtual std::string name() const = 0;
+
+  // Runs one step: appends the input rows to every slot's cache
+  // transactionally, prices the pass on the simulated platform and returns
+  // its stats (logits per `all_rows_logits`). Matmuls run once over all
+  // slots' rows, streaming each weight once for the whole batch (the
+  // continuous-batching amortization); RoPE, cache appends and attention
+  // stay per slot. Aborts on a null cache, an empty slot, rows that do not
+  // split evenly across the slots, a width other than the model's hidden
+  // size, or a multi-slot batch outside kSimulate.
+  virtual PhaseStats Step(const StepBatch& batch);
+
+  // Single-session shorthands over Step against the engine's own cache.
+  PhaseStats Prefill(const tensor::Tensor& prompt) {
+    return Step({Phase::kPrefill, {}, prompt, /*all_rows_logits=*/false});
+  }
+  PhaseStats DecodeStep(const tensor::Tensor& token) {
+    return Step({Phase::kDecode, {}, token, /*all_rows_logits=*/false});
+  }
+
+  // Clears the engine's own KV cache (clocks keep advancing).
+  void ResetSession() { kv_cache_->Reset(); }
 
   // Convenience driver: prefill `prompt_len` synthetic tokens then decode
   // `decode_len` steps; gathers latency/energy metrics.
   GenerationStats Generate(int prompt_len, int decode_len);
-
-  // --- multi-session serving (src/serve/) ----------------------------------
-  // The serving scheduler multiplexes many concurrent sessions over one
-  // engine. Each session owns its KV cache; the engine runs an iteration
-  // against the caches handed to it instead of its built-in session cache.
-
-  // Prefills `prompt` into `cache` (instead of the engine's own cache).
-  PhaseStats PrefillInto(model::KvCache* cache, const tensor::Tensor& prompt);
-
-  // Prefill-from-offset: `cache` already holds `start_pos` committed
-  // positions (a prefix-cache hit adopted via KvCache::AdoptPrefix); only
-  // rows [start_pos, prompt rows) are run — and priced — through the stack.
-  // RoPE offsets and attention spans come from the cache length, so the
-  // residual tokens attend over the full cached prefix. `start_pos` must be
-  // < prompt rows (the last position is never cached).
-  PhaseStats PrefillFrom(model::KvCache* cache, const tensor::Tensor& prompt,
-                         int64_t start_pos);
-
-  // One transactional prefill chunk: runs — and prices — only rows
-  // [offset, offset + len) of `prompt` against `cache`, which must hold
-  // exactly `offset` committed positions (the preceding chunks, or an
-  // adopted prefix-cache hit). RoPE offsets and attention spans come from
-  // the cache length, so chunking is numerically transparent: committing a
-  // prompt chunk-by-chunk yields a cache (and final-chunk logits)
-  // bit-identical to one-shot prefill. `PrefillFrom` is the
-  // run-to-the-end special case.
-  PhaseStats PrefillChunk(model::KvCache* cache, const tensor::Tensor& prompt,
-                          int64_t offset, int64_t len);
-
-  // One single-session decode step against `cache` (any ExecutionMode —
-  // unlike BatchedDecodeStep there is one forward pass over one cache, so
-  // compute-mode numerics are meaningful).
-  PhaseStats DecodeInto(model::KvCache* cache, const tensor::Tensor& token);
-
-  // One continuous-batching decode iteration: row i of the synthetic
-  // [B, hidden] input is the next token of the session behind `caches[i]`.
-  // Matmuls run once at m = B, streaming each weight once for the whole
-  // batch (the continuous-batching amortization); RoPE offsets, cache
-  // appends and attention remain per-session. B > 1 is timing-only
-  // (requires ExecutionMode::kSimulate).
-  PhaseStats BatchedDecodeStep(const std::vector<model::KvCache*>& caches);
-
-  // --- speculative decoding -------------------------------------------------
-
-  // Speculative verify: scores the k+1 rows of `tokens` ([t0, d1..dk] as
-  // embeddings) against `cache` in ONE pass, returning logits for EVERY row
-  // — row i's argmax decides whether draft i+1 is accepted. Decode is
-  // memory-bound on every backend the paper characterizes, so the batched
-  // pass streams the weights once and costs barely more than one token.
-  // All k rows are appended to the cache; the caller rolls the rejected
-  // suffix back with `KvCache::RollbackTo`. Works in any ExecutionMode
-  // (single cache, single forward pass — compute-mode numerics are real).
-  PhaseStats VerifyInto(model::KvCache* cache, const tensor::Tensor& tokens);
-
-  // Continuous-batching speculative verify: every session advances by
-  // `rows_per_slot` (= draft window + 1) positions in one iteration. Rows
-  // [i*rows_per_slot, (i+1)*rows_per_slot) of the synthetic input belong to
-  // the session behind `caches[i]`; matmuls run once at m = B*rows_per_slot,
-  // attention stays per-session at m = rows_per_slot. Timing-only, like
-  // BatchedDecodeStep (requires ExecutionMode::kSimulate).
-  PhaseStats BatchedVerifyStep(const std::vector<model::KvCache*>& caches,
-                               int64_t rows_per_slot);
 
   // Advances the host clock to `t` if it lags (idle wait between arrivals).
   void AdvanceHostTo(MicroSeconds t) { host_now_ = std::max(host_now_, t); }
@@ -320,30 +282,30 @@ class EngineBase : public InferenceEngine, public graph::PlacementPolicy {
   Value Add(Value& a, Value& b);
   Value SwiGlu(Value& gate, Value& up);
   Value Rope(Value& x, int64_t pos_offset);
-  Value Attention(Value& q, int layer, int64_t pos_offset);
 
-  // Serving batch mode: attention/cache-append per session slot. Row i of
-  // `q` is slot i's single-token query against its own cache length.
-  Value BatchedAttention(Value& q, int layer);
-
-  // The KV cache backing session slot `slot`: the engine's own cache in
-  // single-session mode, the scheduler-provided one in serving mode.
-  model::KvCache& session_cache(size_t slot);
-  size_t session_count() const {
-    return batch_caches_.empty() ? 1 : batch_caches_.size();
-  }
-  bool serving_batch() const { return batch_caches_.size() > 1; }
+  // One layer's KV step and attention, shared by schedule replay and the
+  // legacy loop: appends each slot's rows of `k`/`v` to its cache, makes
+  // them visible to the vector backend, then runs one attention kernel per
+  // slot — each slot reads its own cache length, so the cost tracks every
+  // session's true history (the part of a batched step that does NOT
+  // amortize). A single slot computes real numerics; a multi-slot batch is
+  // shape-only.
+  Value AttendLayer(const StepBatch& batch, int layer, Value& q, Value& k,
+                    Value& v);
 
   // Runs one full decoder layer (legacy hand-coded path).
-  Value RunLayer(int layer, Value hidden, Phase phase);
+  Value RunLayer(const StepBatch& batch, int layer, Value hidden);
 
-  // Runs the whole stack: compiled-schedule replay by default, the legacy
-  // hand-coded loop when `use_compiled_schedule` is off.
-  PhaseStats RunStack(const tensor::Tensor& input, Phase phase);
+  // Runs the whole stack on a validated batch whose caches are resolved:
+  // compiled-schedule replay by default, the legacy hand-coded loop when
+  // `use_compiled_schedule` is off.
+  PhaseStats RunStack(const StepBatch& batch);
 
-  // The cached compiled schedule for (phase, rows, serving); compiles it on
-  // first use: build graph -> InferShapes -> FuseSiluMul (+ FuseQkv when
-  // enabled) -> DCE -> PlaceGraph (this engine's policy) -> CompileSchedule.
+  // The cached compiled schedule for (phase, rows, serving), where serving
+  // (the graph layer's all-row LM head) is what an all-row-logits batch
+  // runs; compiles it on first use: build graph -> InferShapes ->
+  // FuseSiluMul (+ FuseQkv when enabled) -> DCE -> PlaceGraph (this
+  // engine's policy) -> CompileSchedule.
   const graph::CompiledSchedule& ScheduleFor(Phase phase, int64_t rows,
                                              bool serving);
 
@@ -360,23 +322,14 @@ class EngineBase : public InferenceEngine, public graph::PlacementPolicy {
   EngineOptions options_;
   model::ExecutionMode mode_;
   std::unique_ptr<model::KvCache> kv_cache_;
-  // Non-owning caches of the sessions in the current serving iteration;
-  // empty outside serving mode (kv_cache_ backs the single session).
-  std::vector<model::KvCache*> batch_caches_;
   MicroSeconds host_now_ = 0;
   MicroSeconds graph_gen_accum_ = 0;  // charged online graph time this phase
+  // Kernels the host already waited on during the current step (a Value
+  // never outlives its step, so the set is cleared at every step start).
   std::unordered_set<int64_t> synced_kernels_;
   // Decode GPU-dominant pipelining: when true, partitioned decode matmuls
   // defer the wait on their GPU piece (queue order synchronizes it).
   bool decode_pipelining_ = true;
-  // Rows each serving slot contributes to the current iteration: 1 for plain
-  // continuous batching, draft window + 1 during a batched speculative
-  // verify (cache appends and attention slice the input per slot).
-  int64_t serving_rows_per_slot_ = 1;
-  // Keep every row's logits through the LM head (speculative verify needs
-  // the argmax at each draft position, not just the last). Selects the
-  // serving-shaped schedule, whose kLastRows step is the identity.
-  bool all_rows_logits_ = false;
   // Workspace slots acquired once per session (pool reuse across layers).
   std::vector<int> workspace_slots_;
   // Layer currently executing (for per-op-instance graph keys).
@@ -389,7 +342,7 @@ class EngineBase : public InferenceEngine, public graph::PlacementPolicy {
   // True when the schedule submits kernels on any backend in `changed`.
   bool ScheduleUsesBackend(const graph::CompiledSchedule& sched,
                            const std::vector<hal::Backend>& changed) const;
-  PhaseStats RunStackLegacy(const tensor::Tensor& input, Phase phase);
+  PhaseStats RunStackLegacy(const StepBatch& batch);
   // Numerics of the output-feature range [k_begin, k_end) of the logical
   // matmul against the column-concatenation of `parts`.
   tensor::Tensor MatmulNumeric(

@@ -100,19 +100,22 @@ MatmulPlan NpuOnlyEngine::PlanMatmul(MatmulSite site, const MatmulShape& shape,
   __builtin_unreachable();
 }
 
-PhaseStats NpuOnlyEngine::Prefill(const Tensor& prompt) {
-  if (policy_ != MisalignPolicy::kChunked) {
-    return EngineBase::Prefill(prompt);
+PhaseStats NpuOnlyEngine::Step(const StepBatch& batch) {
+  if (policy_ != MisalignPolicy::kChunked || batch.phase != Phase::kPrefill ||
+      batch.caches.size() > 1) {
+    return EngineBase::Step(batch);
   }
   // Chunked prefill: fixed-size chunks flow through the entire stack one at
   // a time, each filling the KV cache for the next.
   PhaseStats total;
-  const int64_t m = prompt.shape().rows();
+  const int64_t m = batch.input.shape().rows();
   const int64_t chunk = options_.chunk_size;
   HCHECK(chunk > 0);
+  StepBatch piece_batch = batch;
   for (int64_t begin = 0; begin < m; begin += chunk) {
     const int64_t end = std::min(m, begin + chunk);
-    PhaseStats piece = EngineBase::Prefill(prompt.SliceRows(begin, end));
+    piece_batch.input = batch.input.SliceRows(begin, end);
+    PhaseStats piece = EngineBase::Step(piece_batch);
     total.latency += piece.latency;
     total.graph_gen_time += piece.graph_gen_time;
     total.tokens += piece.tokens;

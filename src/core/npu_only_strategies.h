@@ -37,9 +37,9 @@ class NpuOnlyEngine : public EngineBase {
 
   std::string name() const override;
 
-  // Chunked prefill overrides the driver to push fixed chunks through the
-  // stack; other policies use the standard path.
-  PhaseStats Prefill(const tensor::Tensor& prompt) override;
+  // Chunked prefill pushes a single-slot prefill through the stack in
+  // fixed chunks; everything else takes the standard path.
+  PhaseStats Step(const StepBatch& batch) override;
 
   MisalignPolicy policy() const { return policy_; }
 

@@ -58,46 +58,23 @@ const Tensor& ScheduleExecutor::Gamma(int64_t ref) const {
   __builtin_unreachable();
 }
 
-ScheduleExecutor::Value ScheduleExecutor::RunAttention(
-    const ScheduleStep& step, Value& q, Value& k, Value& v, int64_t past) {
-  // The cache append itself is a strided device-side write folded into the
-  // projection kernels; attention's kernel dependencies flow through q/k/v.
-  if (e_->serving_batch()) {
-    const int64_t per = e_->serving_rows_per_slot_;
-    for (size_t slot = 0; slot < e_->session_count(); ++slot) {
-      const int64_t r = static_cast<int64_t>(slot) * per;
-      e_->session_cache(slot).AppendLayer(step.layer,
-                                          k.tensor.SliceRows(r, r + per),
-                                          v.tensor.SliceRows(r, r + per));
-    }
-  } else {
-    e_->session_cache(0).AppendLayer(step.layer, k.tensor, v.tensor);
-  }
-  // Attention (on the vector backend) must see k/v results.
-  hal::Device& vec_dev = e_->platform_->device(e_->vector_backend());
-  e_->EnsureVisible(k, vec_dev);
-  e_->EnsureVisible(v, vec_dev);
-  return e_->serving_batch() ? e_->BatchedAttention(q, step.layer)
-                             : e_->Attention(q, step.layer, past);
-}
-
 PhaseStats ScheduleExecutor::Run(const graph::CompiledSchedule& sched,
-                                 const Tensor& input) {
+                                 const StepBatch& batch) {
   EngineBase& e = *e_;
   const MicroSeconds start = e.host_now_;
   e.graph_gen_accum_ = 0;
 
   std::vector<Value> slots(sched.num_slots);
-  slots[sched.input_slot].tensor = input;
-  // KV length at the current layer's start; RoPE/attention offsets replay
-  // against this snapshot (the appends below it advance the cache).
-  int64_t past = 0;
+  slots[sched.input_slot].tensor = batch.input;
+  // Committed KV length (slot 0's in a multi-slot batch; RoPE cost is
+  // position-independent). The step's appends stay pending until the commit
+  // after replay, so this is every layer's RoPE offset.
+  const int64_t past = batch.caches[0]->length();
 
   for (const ScheduleStep& step : sched.steps) {
     switch (step.kind) {
       case StepKind::kBeginLayer:
         e.current_layer_ = step.layer;
-        past = e.session_cache(0).length();
         break;
       case StepKind::kMatmul: {
         e.current_layer_ = step.layer;
@@ -118,37 +95,14 @@ PhaseStats ScheduleExecutor::Run(const graph::CompiledSchedule& sched,
         slots[step.out] = e.Rope(slots[step.a], past);
         break;
       case StepKind::kAttention:
-        slots[step.out] = RunAttention(step, slots[step.a], slots[step.b],
-                                       slots[step.c], past);
+        slots[step.out] = e.AttendLayer(batch, step.layer, slots[step.a],
+                                        slots[step.b], slots[step.c]);
         break;
-      case StepKind::kSilu: {
-        // Unfused-graph fallback (the engine pipeline always fuses SiluMul).
-        Value& x = slots[step.a];
-        hal::Device& dev = e.platform_->device(e.vector_backend());
-        hal::ElementwiseSpec spec;
-        spec.elems = x.tensor.numel();
-        spec.flops_per_elem = 4.0;
-        spec.bytes_per_elem = 4.0;
-        sim::KernelDesc desc = dev.CostElementwise(spec);
-        desc.label = "silu";
-        Tensor out = tensor::ops::Silu(x.tensor);
-        slots[step.out] = e.SubmitKernel(dev, desc, {&x}, std::move(out));
+      case StepKind::kSilu:
+      case StepKind::kMul:
+        HCHECK_MSG(false, "unfused SiLU/Mul step: ScheduleFor always fuses "
+                          "them into SwiGlu");
         break;
-      }
-      case StepKind::kMul: {
-        Value& a = slots[step.a];
-        Value& b = slots[step.b];
-        hal::Device& dev = e.platform_->device(e.vector_backend());
-        hal::ElementwiseSpec spec;
-        spec.elems = a.tensor.numel();
-        spec.flops_per_elem = 1.0;
-        spec.bytes_per_elem = 6.0;
-        sim::KernelDesc desc = dev.CostElementwise(spec);
-        desc.label = "mul";
-        Tensor out = tensor::ops::Mul(a.tensor, b.tensor);
-        slots[step.out] = e.SubmitKernel(dev, desc, {&a, &b}, std::move(out));
-        break;
-      }
       case StepKind::kAdd:
         slots[step.out] = e.Add(slots[step.a], slots[step.b]);
         break;
@@ -188,7 +142,7 @@ PhaseStats ScheduleExecutor::Run(const graph::CompiledSchedule& sched,
   PhaseStats stats;
   stats.latency = e.host_now_ - start;
   stats.graph_gen_time = e.graph_gen_accum_;
-  stats.tokens = static_cast<int>(input.shape().rows());
+  stats.tokens = static_cast<int>(batch.input.shape().rows());
   stats.hidden = std::move(hidden.tensor);
   stats.logits = std::move(logits.tensor);
   return stats;

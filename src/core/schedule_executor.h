@@ -21,10 +21,9 @@ class ScheduleExecutor {
     HCHECK(engine != nullptr);
   }
 
-  // Replays `sched` on `input` ([rows, hidden]); returns the phase stats the
-  // legacy loop would have produced.
-  PhaseStats Run(const graph::CompiledSchedule& sched,
-                 const tensor::Tensor& input);
+  // Replays `sched` on `batch` (validated, caches resolved); returns the
+  // phase stats the legacy loop would have produced.
+  PhaseStats Run(const graph::CompiledSchedule& sched, const StepBatch& batch);
 
  private:
   using Value = EngineBase::Value;
@@ -33,10 +32,6 @@ class ScheduleExecutor {
   const tensor::QuantizedTensor& Weight(int64_t ref) const;
   // Resolves an RmsNorm gain reference.
   const tensor::Tensor& Gamma(int64_t ref) const;
-
-  // KV appends + cross-device sync + attention kernel(s) for one layer.
-  Value RunAttention(const graph::ScheduleStep& step, Value& q, Value& k,
-                     Value& v, int64_t past);
 
   EngineBase* e_;
 };

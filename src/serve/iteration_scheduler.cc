@@ -52,8 +52,9 @@ StatusOr<SchedulerOptions> SchedulerOptions::Validated(
 
 namespace {
 
-Tensor MakePrompt(int prompt_len, int64_t hidden) {
-  return Tensor::Deferred(Shape({prompt_len, hidden}), tensor::DType::kFp16);
+// Shape-only step input: the serving layer is a timing simulation.
+Tensor DeferredRows(int64_t rows, int64_t hidden) {
+  return Tensor::Deferred(Shape({rows, hidden}), tensor::DType::kFp16);
 }
 
 int64_t CheckedTotalBlocks(const model::ModelConfig& cfg, Bytes budget,
@@ -431,8 +432,10 @@ struct IterationScheduler::Continuous {
     }
     m->prefilled_tokens += r.prompt_len;
     m->prefix_hit_tokens += hit.tokens;
-    engine->PrefillFrom(slot.cache.get(), MakePrompt(r.prompt_len, cfg.hidden),
-                        hit.tokens);
+    engine->Step({core::Phase::kPrefill,
+                  {slot.cache.get()},
+                  DeferredRows(r.prompt_len - hit.tokens, cfg.hidden),
+                  /*all_rows_logits=*/false});
     rm.first_token = engine->host_now();
     if (use_prefix && !r.prompt_tokens.empty()) {
       // The committed prompt blocks are now reusable by any later request
@@ -532,11 +535,10 @@ struct IterationScheduler::Continuous {
     if (caches.empty()) {
       return false;
     }
-    if (rows > 1) {
-      engine->BatchedVerifyStep(caches, rows);
-    } else {
-      engine->BatchedDecodeStep(caches);
-    }
+    const int64_t batch_rows = static_cast<int64_t>(caches.size()) * rows;
+    engine->Step({core::Phase::kDecode, caches,
+                  DeferredRows(batch_rows, engine->model_config().hidden),
+                  /*all_rows_logits=*/caches.size() > 1});
     ++iter;
     ++m->decode_iterations;
     batch_accum += static_cast<double>(ready.size());
@@ -628,8 +630,10 @@ struct IterationScheduler::Continuous {
     if (!slot.cache->TryReserveStep(len)) {
       return false;
     }
-    engine->PrefillChunk(slot.cache.get(), MakePrompt(r.prompt_len, cfg.hidden),
-                         offset, len);
+    engine->Step({core::Phase::kPrefill,
+                  {slot.cache.get()},
+                  DeferredRows(len, cfg.hidden),
+                  /*all_rows_logits=*/false});
     ++m->prefill_chunks;
     m->chunked_prefill_tokens += len;
     if (slot.cache->length() >= r.prompt_len) {
@@ -930,11 +934,16 @@ void IterationScheduler::RunSerial(const std::vector<Request>& requests,
                "request KV footprint exceeds the budget");
     KvCache cache(cfg, r.prompt_len + std::max(r.decode_len, 1),
                   model::ExecutionMode::kSimulate);
-    engine_->PrefillInto(&cache, MakePrompt(r.prompt_len, cfg.hidden));
+    engine_->Step({core::Phase::kPrefill,
+                   {&cache},
+                   DeferredRows(r.prompt_len, cfg.hidden),
+                   /*all_rows_logits=*/false});
     rm.first_token = engine_->host_now();
-    std::vector<KvCache*> one = {&cache};
     for (int t = 0; t < r.decode_len; ++t) {
-      engine_->BatchedDecodeStep(one);
+      engine_->Step({core::Phase::kDecode,
+                     {&cache},
+                     DeferredRows(1, cfg.hidden),
+                     /*all_rows_logits=*/false});
       ++rm.decoded_tokens;
       ++m->decode_iterations;
       m->avg_decode_batch += 1.0;

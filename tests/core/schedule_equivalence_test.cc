@@ -117,14 +117,20 @@ TEST(ScheduleEquivalenceTest, ServingBatchedDecodeTimingMatchesLegacy) {
     for (int i = 0; i < 3; ++i) {
       caches.push_back(
           std::make_unique<KvCache>(cfg, 256, ExecutionMode::kSimulate));
-      PhaseStats prefill = engine->PrefillInto(
-          caches.back().get(),
-          Tensor::Deferred(Shape({64, cfg.hidden}), tensor::DType::kFp16));
+      PhaseStats prefill = engine->Step(
+          {Phase::kPrefill, {caches.back().get()},
+           Tensor::Deferred(Shape({64, cfg.hidden}), tensor::DType::kFp16),
+           /*all_rows_logits=*/false});
       latencies.push_back(prefill.latency);
       batch.push_back(caches.back().get());
     }
+    const Tensor tokens =
+        Tensor::Deferred(Shape({3, cfg.hidden}), tensor::DType::kFp16);
     for (int step = 0; step < 3; ++step) {
-      latencies.push_back(engine->BatchedDecodeStep(batch).latency);
+      latencies.push_back(
+          engine
+              ->Step({Phase::kDecode, batch, tokens, /*all_rows_logits=*/false})
+              .latency);
     }
     return latencies;
   };
@@ -226,17 +232,22 @@ TEST(ScheduleEquivalenceTest, SolverIdleAfterFirstServingBatchIteration) {
   for (int i = 0; i < 3; ++i) {
     caches.push_back(
         std::make_unique<KvCache>(cfg, 256, ExecutionMode::kSimulate));
-    engine.PrefillInto(
-        caches.back().get(),
-        Tensor::Deferred(Shape({32, cfg.hidden}), tensor::DType::kFp16));
+    engine.Step(
+        {Phase::kPrefill, {caches.back().get()},
+         Tensor::Deferred(Shape({32, cfg.hidden}), tensor::DType::kFp16),
+         /*all_rows_logits=*/false});
     batch.push_back(caches.back().get());
   }
 
-  engine.BatchedDecodeStep(batch);  // compiles the batch-3 serving schedule
+  const StepBatch decode{
+      Phase::kDecode, batch,
+      Tensor::Deferred(Shape({3, cfg.hidden}), tensor::DType::kFp16),
+      /*all_rows_logits=*/false};
+  engine.Step(decode);  // compiles the batch-3 serving schedule
   const int decides = engine.solver().decide_calls();
   const int queries = engine.profiler().query_count();
   for (int step = 0; step < 4; ++step) {
-    engine.BatchedDecodeStep(batch);
+    engine.Step(decode);
   }
   EXPECT_EQ(engine.solver().decide_calls(), decides);
   EXPECT_EQ(engine.profiler().query_count(), queries);

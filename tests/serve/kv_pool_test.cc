@@ -221,17 +221,21 @@ TEST(PooledComputeTest, PooledCacheMatchesContiguousBitExact) {
   core::Platform platform(core::PlatformOptionsFor("Hetero-tensor"));
   auto engine = core::CreateEngine("Hetero-tensor", &platform, &weights);
 
+  auto logits = [&](KvCache* cache, core::Phase phase, const Tensor& input) {
+    return engine->Step({phase, {cache}, input, /*all_rows_logits=*/false})
+        .logits;
+  };
   KvCache contiguous(cfg, 64, ExecutionMode::kCompute);
-  const Tensor lp_c = engine->PrefillInto(&contiguous, prompt).logits;
-  const Tensor l1_c = engine->DecodeInto(&contiguous, tok1).logits;
-  const Tensor l2_c = engine->DecodeInto(&contiguous, tok2).logits;
+  const Tensor lp_c = logits(&contiguous, core::Phase::kPrefill, prompt);
+  const Tensor l1_c = logits(&contiguous, core::Phase::kDecode, tok1);
+  const Tensor l2_c = logits(&contiguous, core::Phase::kDecode, tok2);
 
   KvBlockPool pool(cfg, /*block_tokens=*/16, /*num_blocks=*/8,
                    ExecutionMode::kCompute);
   KvCache pooled = pool.MakeCache(64);
-  const Tensor lp_p = engine->PrefillInto(&pooled, prompt).logits;
-  const Tensor l1_p = engine->DecodeInto(&pooled, tok1).logits;
-  const Tensor l2_p = engine->DecodeInto(&pooled, tok2).logits;
+  const Tensor lp_p = logits(&pooled, core::Phase::kPrefill, prompt);
+  const Tensor l1_p = logits(&pooled, core::Phase::kDecode, tok1);
+  const Tensor l2_p = logits(&pooled, core::Phase::kDecode, tok2);
 
   EXPECT_EQ(Tensor::MaxAbsDiff(lp_c, lp_p), 0.0f);
   EXPECT_EQ(Tensor::MaxAbsDiff(l1_c, l1_p), 0.0f);
@@ -258,15 +262,26 @@ TEST(PooledComputeTest, PrefillFromCachedPrefixMatchesFullPrefill) {
   const std::vector<int32_t> tokens = Iota(32, 0);
 
   KvCache first = pool.MakeCache(40);
-  const Tensor full_logits = engine->PrefillInto(&first, prompt).logits;
+  const Tensor full_logits =
+      engine
+          ->Step({core::Phase::kPrefill, {&first}, prompt,
+                  /*all_rows_logits=*/false})
+          .logits;
   prefix.Insert(tokens, first.blocks(), first.length());
 
   PrefixCache::Match hit = prefix.Acquire(tokens);
   ASSERT_EQ(hit.tokens, 16);  // capped below the full prompt
   KvCache second = pool.MakeCache(40);
   second.AdoptPrefix(hit.blocks, hit.tokens);
+  // Only the residual rows run; RoPE and attention resume from the adopted
+  // cache length.
   const Tensor reuse_logits =
-      engine->PrefillFrom(&second, prompt, hit.tokens).logits;
+      engine
+          ->Step({core::Phase::kPrefill,
+                  {&second},
+                  prompt.SliceRows(hit.tokens, prompt.shape().rows()),
+                  /*all_rows_logits=*/false})
+          .logits;
 
   // Row 16..31 hidden states depend on rows 0..15 only through the cached
   // K/V, which round-tripped the same fp16 storage — bit-exact.

@@ -90,20 +90,29 @@ TEST(ServingTest, BatchedDecodeAmortizesWeightStreaming) {
   for (int i = 0; i < 4; ++i) {
     caches.push_back(
         std::make_unique<KvCache>(cfg, 256, ExecutionMode::kSimulate));
-    h.engine->PrefillInto(caches.back().get(),
-                          tensor::Tensor::Deferred(
-                              tensor::Shape({64, cfg.hidden}),
-                              tensor::DType::kFp16));
+    h.engine->Step({core::Phase::kPrefill,
+                    {caches.back().get()},
+                    tensor::Tensor::Deferred(tensor::Shape({64, cfg.hidden}),
+                                             tensor::DType::kFp16),
+                    /*all_rows_logits=*/false});
     batch.push_back(caches.back().get());
   }
 
-  std::vector<KvCache*> single = {batch[0]};
+  auto decode = [&](const std::vector<KvCache*>& caches_in_step) {
+    h.engine->Step({core::Phase::kDecode, caches_in_step,
+                    tensor::Tensor::Deferred(
+                        tensor::Shape({static_cast<int64_t>(
+                                           caches_in_step.size()),
+                                       cfg.hidden}),
+                        tensor::DType::kFp16),
+                    /*all_rows_logits=*/false});
+  };
   const MicroSeconds t0 = h.engine->host_now();
-  h.engine->BatchedDecodeStep(single);
+  decode({batch[0]});
   const MicroSeconds single_step = h.engine->host_now() - t0;
 
   const MicroSeconds t1 = h.engine->host_now();
-  h.engine->BatchedDecodeStep(batch);
+  decode(batch);
   const MicroSeconds batch_step = h.engine->host_now() - t1;
 
   EXPECT_GT(batch_step, single_step);         // attention is per-session

@@ -96,14 +96,16 @@ TEST(SpeculativeDecoderTest, ComputeModeMatchesPlainGreedyBitExactly) {
     rows.push_back(TokenEmbedding(cfg, t, ExecutionMode::kCompute, kSeed));
   }
   core::PhaseStats ps =
-      ref_engine->PrefillInto(&ref_cache, Tensor::ConcatRows(rows));
+      ref_engine->Step({core::Phase::kPrefill, {&ref_cache},
+                        Tensor::ConcatRows(rows), /*all_rows_logits=*/false});
   int32_t pending = Argmax(ps.logits, ps.logits.shape().rows() - 1);
   std::vector<int32_t> greedy;
   for (int i = 0; i < kCount; ++i) {
     greedy.push_back(pending);
-    ps = ref_engine->DecodeInto(
-        &ref_cache,
-        TokenEmbedding(cfg, pending, ExecutionMode::kCompute, kSeed));
+    ps = ref_engine->Step(
+        {core::Phase::kDecode, {&ref_cache},
+         TokenEmbedding(cfg, pending, ExecutionMode::kCompute, kSeed),
+         /*all_rows_logits=*/false});
     pending = Argmax(ps.logits, 0);
   }
 
@@ -132,9 +134,10 @@ TEST(SpeculativeDecoderTest, ComputeModeMatchesPlainGreedyBitExactly) {
   EXPECT_EQ(spec_cache.length(), ref_cache.length());
   const Tensor next =
       TokenEmbedding(cfg, pending, ExecutionMode::kCompute, kSeed);
-  const core::PhaseStats ref_next = ref_engine->DecodeInto(&ref_cache, next);
-  const core::PhaseStats spec_next =
-      spec_engine->DecodeInto(&spec_cache, next);
+  const core::PhaseStats ref_next = ref_engine->Step(
+      {core::Phase::kDecode, {&ref_cache}, next, /*all_rows_logits=*/false});
+  const core::PhaseStats spec_next = spec_engine->Step(
+      {core::Phase::kDecode, {&spec_cache}, next, /*all_rows_logits=*/false});
   EXPECT_EQ(Tensor::MaxAbsDiff(ref_next.logits, spec_next.logits), 0.0f);
 }
 
