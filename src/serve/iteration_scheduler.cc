@@ -535,10 +535,12 @@ struct IterationScheduler::Continuous {
     if (caches.empty()) {
       return false;
     }
+    // A verify (rows > 1) reads every row's argmax, however many sessions
+    // are in the batch.
     const int64_t batch_rows = static_cast<int64_t>(caches.size()) * rows;
     engine->Step({core::Phase::kDecode, caches,
                   DeferredRows(batch_rows, engine->model_config().hidden),
-                  /*all_rows_logits=*/caches.size() > 1});
+                  /*all_rows_logits=*/rows > 1});
     ++iter;
     ++m->decode_iterations;
     batch_accum += static_cast<double>(ready.size());

@@ -297,6 +297,47 @@ TEST(SchedulerSpeculationTest, EmitsExactlyDecodeLenAndCountsDrafts) {
   EXPECT_EQ(mp.total_draft_tokens(), 0);
 }
 
+// A verify iteration keeps every row's logits whether one session is
+// decoding or many: with a single active session, each scheduler verify
+// costs exactly what a standalone all-row verify Step costs on an identical
+// engine and cache (the LM head runs at window + 1 rows, not 1).
+TEST(SchedulerSpeculationTest, OneSessionVerifyKeepsEveryRowsLogits) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelWeights weights =
+      ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  constexpr int kWindow = 2;
+  constexpr int kRounds = 3;
+  constexpr int kPrompt = 12;
+  SchedulerOptions opts;
+  opts.speculative_window = kWindow;
+  opts.speculative_acceptance = 1.0;  // every round emits window + 1 tokens
+  opts.kv_budget_bytes = KvCache::BytesForTokens(cfg, 1024);
+  Harness h = MakeServingHarness(weights, opts);
+  const ServingMetrics m =
+      IterationScheduler(h.engine.get(), opts)
+          .Run(RequestQueue(Burst(1, kPrompt, kRounds * (kWindow + 1))));
+  ASSERT_EQ(m.decode_iterations, kRounds);
+  const RequestMetrics& r = m.requests[0];
+
+  Harness ref = MakeServingHarness(weights, opts);
+  KvCache cache(cfg, 64, ExecutionMode::kSimulate);
+  auto rows = [&](int64_t n) {
+    return Tensor::Deferred(Shape({n, cfg.hidden}), tensor::DType::kFp16);
+  };
+  ref.engine->Step({core::Phase::kPrefill, {&cache}, rows(kPrompt),
+                    /*all_rows_logits=*/false});
+  const MicroSeconds decode_start = ref.engine->host_now();
+  for (int i = 0; i < kRounds; ++i) {
+    const core::PhaseStats verify =
+        ref.engine->Step({core::Phase::kDecode, {&cache}, rows(kWindow + 1),
+                          /*all_rows_logits=*/true});
+    EXPECT_EQ(verify.logits.shape().rows(), kWindow + 1);
+    EXPECT_FALSE(verify.logits.has_data());
+  }
+  EXPECT_DOUBLE_EQ(r.completion - r.first_token,
+                   ref.engine->host_now() - decode_start);
+}
+
 TEST(SchedulerSpeculationTest, ZeroAcceptanceStillCompletesEveryRequest) {
   const ModelConfig cfg = ModelConfig::Tiny();
   const ModelWeights weights =
