@@ -501,7 +501,7 @@ EngineBase::Value EngineBase::AttendLayer(const StepBatch& batch, int layer,
   EnsureVisible(k, dev);
   EnsureVisible(v, dev);
 
-  Value merged;
+  Value out;
   for (model::KvCache* cache : batch.caches) {
     // Causal: query row i of the slot attends to kv_len - per + i + 1
     // positions; charge the average span rather than the full rectangle.
@@ -514,29 +514,23 @@ EngineBase::Value EngineBase::AttendLayer(const StepBatch& batch, int layer,
     spec.head_dim = cfg.head_dim;
     sim::KernelDesc desc = dev.CostAttention(spec);
     desc.label = StrFormat("attn:L%d", layer);
-    Tensor out;
-    if (slots == 1) {
-      tensor::AttentionParams params;
-      params.num_heads = cfg.num_heads;
-      params.num_kv_heads = cfg.num_kv_heads;
-      params.head_dim = cfg.head_dim;
-      params.q_pos_offset = kv_len - per;
-      out = tensor::GqaAttention(q.tensor, cache->K(layer), cache->V(layer),
-                                 params);
-    } else {
-      out = Tensor::Deferred(Shape({per, cfg.q_dim()}), tensor::DType::kFp16);
-    }
-    Value piece = SubmitKernel(dev, desc, {&q}, std::move(out));
-    if (slots == 1) {
-      return piece;
-    }
-    merged.deps.insert(merged.deps.end(), piece.deps.begin(),
-                       piece.deps.end());
+    Value piece = SubmitKernel(dev, desc, {&q}, Tensor());
+    out.deps.insert(out.deps.end(), piece.deps.begin(), piece.deps.end());
   }
-  merged.tensor =
-      Tensor::Deferred(Shape({static_cast<int64_t>(slots) * per, cfg.q_dim()}),
-                       tensor::DType::kFp16);
-  return merged;
+  if (slots == 1) {
+    // The query rows continue from the committed length (this step's rows
+    // stay pending until the commit).
+    const model::KvCache& cache = *batch.caches[0];
+    const tensor::AttentionParams params{cfg.num_heads, cfg.num_kv_heads,
+                                         cfg.head_dim, cache.length()};
+    out.tensor = tensor::GqaAttention(q.tensor, cache.K(layer),
+                                      cache.V(layer), params);
+  } else {
+    out.tensor = Tensor::Deferred(
+        Shape({static_cast<int64_t>(slots) * per, cfg.q_dim()}),
+        tensor::DType::kFp16);
+  }
+  return out;
 }
 
 EngineBase::Value EngineBase::RunLayer(const StepBatch& batch, int layer,
