@@ -39,6 +39,45 @@ EngineBase::EngineBase(Platform* platform,
   // baseline this engine plans against, not a change to react to.
   seen_epoch_ = platform_->soc().device_state_epoch();
   AcquireWorkspace();
+  InternLabels();
+}
+
+void EngineBase::InternLabels() {
+  sim::SocSimulator& soc = platform_->soc();
+  for (size_t i = 0; i < kSiteCount; ++i) {
+    const std::string site = MatmulSiteName(static_cast<MatmulSite>(i));
+    SiteLabels& labels = site_labels_[i];
+    for (hal::Backend b :
+         {hal::Backend::kCpu, hal::Backend::kGpu, hal::Backend::kNpu}) {
+      labels.sole[static_cast<size_t>(b)] =
+          soc.InternLabel(site + ":" + hal::BackendName(b));
+    }
+    labels.gpu_cut = soc.InternLabel(site + ":gpu-cut");
+    labels.npu_cut = soc.InternLabel(site + ":npu-cut");
+    labels.gpu_seq = soc.InternLabel(site + ":gpu-seq");
+    labels.act_quant = soc.InternLabel(site + ":act-quant");
+  }
+  rmsnorm_label_ = soc.InternLabel("rmsnorm");
+  residual_label_ = soc.InternLabel("residual");
+  swiglu_label_ = soc.InternLabel("swiglu");
+  rope_label_ = soc.InternLabel("rope");
+  for (int layer = 0; layer < weights_->config().num_layers; ++layer) {
+    attn_labels_.push_back(soc.InternLabel(StrFormat("attn:L%d", layer)));
+  }
+}
+
+sim::LabelId EngineBase::NpuSeqLabel(MatmulSite site, int64_t seg) {
+  const int64_t key = seg * static_cast<int64_t>(kSiteCount) +
+                      static_cast<int64_t>(site);
+  auto it = npu_seq_labels_.find(key);
+  if (it == npu_seq_labels_.end()) {
+    it = npu_seq_labels_
+             .emplace(key, platform_->soc().InternLabel(StrFormat(
+                               "%s:npu-seq%lld", MatmulSiteName(site),
+                               static_cast<long long>(seg))))
+             .first;
+  }
+  return it->second;
 }
 
 void EngineBase::AcquireWorkspace() {
@@ -160,7 +199,7 @@ void EngineBase::EnsureHost(Value& v) {
 
 EngineBase::Value EngineBase::SubmitKernel(hal::Device& dev,
                                            sim::KernelDesc desc,
-                                           std::vector<Value*> inputs,
+                                           std::initializer_list<Value*> inputs,
                                            Tensor out) {
   for (Value* input : inputs) {
     EnsureVisible(*input, dev);
@@ -251,7 +290,8 @@ EngineBase::Value EngineBase::ExecuteMatmul(MatmulSite site, Value& input,
 
 EngineBase::Value EngineBase::ExecuteMatmulPlanned(
     MatmulSite site, int64_t op_id, const MatmulPlan& plan, Value& input,
-    const std::vector<const QuantizedTensor*>& parts, Phase phase) {
+    const std::vector<const QuantizedTensor*>& parts, Phase phase,
+    bool graphs_confirmed) {
   HCHECK(!parts.empty());
   MatmulShape shape;
   shape.m = input.tensor.shape().rows();
@@ -262,6 +302,7 @@ EngineBase::Value EngineBase::ExecuteMatmulPlanned(
   }
   shape.precision = hal::Precision::kFp16;
 
+  const SiteLabels& labels = site_labels_[static_cast<size_t>(site)];
   if (int_activation_path()) {
     // INT-offload datapath: quantize activations and extract outliers on
     // the CPU before every NPU matmul (MLLM-NPU's design).
@@ -271,7 +312,7 @@ EngineBase::Value EngineBase::ExecuteMatmulPlanned(
     quant_spec.flops_per_elem = 8.0;
     quant_spec.bytes_per_elem = 3.0;
     sim::KernelDesc qdesc = cpu_dev.CostElementwise(quant_spec);
-    qdesc.label = StrFormat("%s:act-quant", MatmulSiteName(site));
+    qdesc.label = labels.act_quant;
     input = SubmitKernel(cpu_dev, qdesc, {&input}, input.tensor);
   }
 
@@ -280,6 +321,9 @@ EngineBase::Value EngineBase::ExecuteMatmulPlanned(
   hal::NpuGraphCache& cache = platform_->graph_cache();
 
   auto ensure_graph = [&](int64_t m, int64_t n, int64_t k) {
+    if (graphs_confirmed) {
+      return;
+    }
     hal::NpuGraphKey key{m, n, k, op_id};
     if (graph_policy() == GraphPolicy::kOnline) {
       const MicroSeconds cost = cache.Prepare(key);
@@ -313,8 +357,7 @@ EngineBase::Value EngineBase::ExecuteMatmulPlanned(
       } else {
         desc = dev.CostMatmul(MatmulSpecFor(plan.sole_backend, shape));
       }
-      desc.label = StrFormat("%s:%s", MatmulSiteName(site),
-                             hal::BackendName(plan.sole_backend));
+      desc.label = labels.sole[static_cast<size_t>(plan.sole_backend)];
       return SubmitKernel(dev, desc, {&input}, std::move(out));
     }
 
@@ -337,14 +380,14 @@ EngineBase::Value EngineBase::ExecuteMatmulPlanned(
         gshape.k = k_gpu;
         Tensor gout = MatmulNumeric(input.tensor, parts, k_npu, shape.k);
         sim::KernelDesc gdesc = gpu.CostMatmul(GpuMatmulSpec(gshape));
-        gdesc.label = StrFormat("%s:gpu-cut", MatmulSiteName(site));
+        gdesc.label = labels.gpu_cut;
         gpu_piece = SubmitKernel(gpu, gdesc, {&input}, std::move(gout));
       }
 
       ensure_graph(npu_m, shape.n, k_npu);
       Tensor nout = MatmulNumeric(input.tensor, parts, 0, k_npu);
       sim::KernelDesc ndesc = npu.CostMatmul(npu_spec(npu_m, k_npu));
-      ndesc.label = StrFormat("%s:npu-cut", MatmulSiteName(site));
+      ndesc.label = labels.npu_cut;
       Value npu_piece = SubmitKernel(npu, ndesc, {&input}, std::move(nout));
 
       // Merge. The pieces write disjoint column ranges of one unified
@@ -397,8 +440,7 @@ EngineBase::Value EngineBase::ExecuteMatmulPlanned(
         Tensor slice = input.tensor.SliceRows(r0, r1);
         Tensor out = MatmulNumeric(slice, parts, 0, shape.k);
         sim::KernelDesc desc = npu.CostMatmul(npu_spec(seg, shape.k));
-        desc.label = StrFormat("%s:npu-seq%lld", MatmulSiteName(site),
-                               static_cast<long long>(seg));
+        desc.label = NpuSeqLabel(site, seg);
         pieces.push_back(SubmitKernel(npu, desc, {&input}, std::move(out)));
         row = r1;
       }
@@ -408,7 +450,7 @@ EngineBase::Value EngineBase::ExecuteMatmulPlanned(
         Tensor slice = input.tensor.SliceRows(npu_real_rows, shape.m);
         Tensor out = MatmulNumeric(slice, parts, 0, shape.k);
         sim::KernelDesc desc = gpu.CostMatmul(GpuMatmulSpec(gshape));
-        desc.label = StrFormat("%s:gpu-seq", MatmulSiteName(site));
+        desc.label = labels.gpu_seq;
         pieces.push_back(SubmitKernel(gpu, desc, {&input}, std::move(out)));
       }
       HCHECK(!pieces.empty());
@@ -438,7 +480,7 @@ EngineBase::Value EngineBase::RmsNorm(Value& x, const Tensor& gamma) {
   spec.flops_per_elem = 4.0;
   spec.bytes_per_elem = 4.0;
   sim::KernelDesc desc = dev.CostElementwise(spec);
-  desc.label = "rmsnorm";
+  desc.label = rmsnorm_label_;
   Tensor out = tensor::ops::RmsNorm(x.tensor, gamma);
   return SubmitKernel(dev, desc, {&x}, std::move(out));
 }
@@ -450,7 +492,7 @@ EngineBase::Value EngineBase::Add(Value& a, Value& b) {
   spec.flops_per_elem = 1.0;
   spec.bytes_per_elem = 6.0;
   sim::KernelDesc desc = dev.CostElementwise(spec);
-  desc.label = "residual";
+  desc.label = residual_label_;
   Tensor out = tensor::ops::Add(a.tensor, b.tensor);
   return SubmitKernel(dev, desc, {&a, &b}, std::move(out));
 }
@@ -462,7 +504,7 @@ EngineBase::Value EngineBase::SwiGlu(Value& gate, Value& up) {
   spec.flops_per_elem = 6.0;
   spec.bytes_per_elem = 6.0;
   sim::KernelDesc desc = dev.CostElementwise(spec);
-  desc.label = "swiglu";
+  desc.label = swiglu_label_;
   Tensor out = tensor::ops::SwiGlu(gate.tensor, up.tensor);
   return SubmitKernel(dev, desc, {&gate, &up}, std::move(out));
 }
@@ -474,7 +516,7 @@ EngineBase::Value EngineBase::Rope(Value& x, int64_t pos_offset) {
   spec.flops_per_elem = 6.0;
   spec.bytes_per_elem = 4.0;
   sim::KernelDesc desc = dev.CostElementwise(spec);
-  desc.label = "rope";
+  desc.label = rope_label_;
   Tensor out = x.tensor;
   tensor::ops::ApplyRope(out, pos_offset, weights_->config().head_dim);
   return SubmitKernel(dev, desc, {&x}, std::move(out));
@@ -513,7 +555,7 @@ EngineBase::Value EngineBase::AttendLayer(const StepBatch& batch, int layer,
     spec.num_kv_heads = cfg.num_kv_heads;
     spec.head_dim = cfg.head_dim;
     sim::KernelDesc desc = dev.CostAttention(spec);
-    desc.label = StrFormat("attn:L%d", layer);
+    desc.label = attn_labels_[static_cast<size_t>(layer)];
     Value piece = SubmitKernel(dev, desc, {&q}, Tensor());
     out.deps.insert(out.deps.end(), piece.deps.begin(), piece.deps.end());
   }
@@ -589,9 +631,8 @@ PhaseStats EngineBase::RunStack(const StepBatch& batch) {
   return stats;
 }
 
-const graph::CompiledSchedule& EngineBase::ScheduleFor(Phase phase,
-                                                       int64_t rows,
-                                                       bool serving) {
+graph::CompiledSchedule& EngineBase::ScheduleFor(Phase phase, int64_t rows,
+                                                 bool serving) {
   const uint64_t key = (static_cast<uint64_t>(rows) << 2) |
                        (phase == Phase::kDecode ? 2u : 0u) | (serving ? 1u : 0u);
   auto it = schedule_cache_.find(key);

@@ -24,6 +24,8 @@
 #define SRC_CORE_ENGINE_BASE_H_
 
 #include <algorithm>
+#include <array>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -261,7 +263,7 @@ class EngineBase : public graph::PlacementPolicy {
   // Submits a kernel on `dev` whose inputs are `v`'s deps; returns the new
   // Value carrying `out`.
   Value SubmitKernel(hal::Device& dev, sim::KernelDesc desc,
-                     std::vector<Value*> inputs, tensor::Tensor out);
+                     std::initializer_list<Value*> inputs, tensor::Tensor out);
 
   // Executes one (possibly partitioned) matmul site: plans via PlanMatmul,
   // then dispatches to ExecuteMatmulPlanned.
@@ -272,10 +274,14 @@ class EngineBase : public graph::PlacementPolicy {
   // schedule replays through this, skipping planning entirely). `parts` is
   // the weight — one tensor, or the column-concatenated members of a fused
   // site (e.g. Wq|Wk|Wv for MatmulSite::kQkv). `op_id` identifies the op
-  // instance for static NPU-graph lookup (GraphOpId).
+  // instance for static NPU-graph lookup (GraphOpId). `graphs_confirmed`
+  // skips the per-kernel NPU-graph lookups: the caller vouches that every
+  // graph this call needs is in the cache (a replayed schedule whose graphs
+  // were confirmed at the cache's current generation).
   Value ExecuteMatmulPlanned(
       MatmulSite site, int64_t op_id, const MatmulPlan& plan, Value& input,
-      const std::vector<const tensor::QuantizedTensor*>& parts, Phase phase);
+      const std::vector<const tensor::QuantizedTensor*>& parts, Phase phase,
+      bool graphs_confirmed = false);
 
   // Vector ops on vector_backend().
   Value RmsNorm(Value& x, const tensor::Tensor& gamma);
@@ -306,8 +312,8 @@ class EngineBase : public graph::PlacementPolicy {
   // runs; compiles it on first use: build graph -> InferShapes ->
   // FuseSiluMul (+ FuseQkv when enabled) -> DCE -> PlaceGraph (this
   // engine's policy) -> CompileSchedule.
-  const graph::CompiledSchedule& ScheduleFor(Phase phase, int64_t rows,
-                                             bool serving);
+  graph::CompiledSchedule& ScheduleFor(Phase phase, int64_t rows,
+                                       bool serving);
 
   // Re-reads the device-state epoch; if it advanced (and reactive
   // re-planning is on), drops cached compiled schedules that touch a changed
@@ -339,6 +345,9 @@ class EngineBase : public graph::PlacementPolicy {
   friend class ScheduleExecutor;  // replays schedules via the machinery above
 
   void AcquireWorkspace();
+  void InternLabels();
+  // Label id of "<site>:npu-seq<seg>", interned on first use.
+  sim::LabelId NpuSeqLabel(MatmulSite site, int64_t seg);
   // True when the schedule submits kernels on any backend in `changed`.
   bool ScheduleUsesBackend(const graph::CompiledSchedule& sched,
                            const std::vector<hal::Backend>& changed) const;
@@ -349,6 +358,26 @@ class EngineBase : public graph::PlacementPolicy {
       const tensor::Tensor& a,
       const std::vector<const tensor::QuantizedTensor*>& parts,
       int64_t k_begin, int64_t k_end) const;
+
+  // Kernel label ids, interned once so submitting a kernel does no string
+  // work.
+  static constexpr size_t kSiteCount =
+      static_cast<size_t>(MatmulSite::kQkv) + 1;
+  struct SiteLabels {
+    std::array<sim::LabelId, 3> sole{};  // "<site>:<backend>", by hal::Backend
+    sim::LabelId gpu_cut = 0;
+    sim::LabelId npu_cut = 0;
+    sim::LabelId gpu_seq = 0;
+    sim::LabelId act_quant = 0;
+  };
+  std::array<SiteLabels, kSiteCount> site_labels_;
+  sim::LabelId rmsnorm_label_ = 0;
+  sim::LabelId residual_label_ = 0;
+  sim::LabelId swiglu_label_ = 0;
+  sim::LabelId rope_label_ = 0;
+  std::vector<sim::LabelId> attn_labels_;  // "attn:L<layer>", by layer
+  // "<site>:npu-seq<seg>" keyed by seg * kSiteCount + site.
+  std::unordered_map<int64_t, sim::LabelId> npu_seq_labels_;
 
   // Compiled schedules keyed by (phase, rows, serving).
   std::unordered_map<uint64_t, graph::CompiledSchedule> schedule_cache_;

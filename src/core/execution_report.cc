@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <map>
+#include <tuple>
 
 #include "src/common/strings.h"
 #include "src/common/table.h"
@@ -36,42 +37,73 @@ ExecutionReport ExecutionReport::Build(const Platform& platform,
   report.window_end = window_end;
 
   const sim::SocSimulator& soc = platform.soc();
-  std::vector<UnitRow> units(static_cast<size_t>(soc.unit_count()));
-  for (int u = 0; u < soc.unit_count(); ++u) {
+  const int unit_count = soc.unit_count();
+  std::vector<UnitRow> units(static_cast<size_t>(unit_count));
+  // Op rows are keyed by (canonical label, unit name): units sharing a name
+  // share rows, keyed by the first such unit.
+  std::vector<int> unit_key(static_cast<size_t>(unit_count));
+  for (int u = 0; u < unit_count; ++u) {
     units[static_cast<size_t>(u)].unit = soc.unit_spec(u).name;
+    unit_key[static_cast<size_t>(u)] = u;
+    for (int prev = 0; prev < u; ++prev) {
+      if (soc.unit_spec(prev).name == soc.unit_spec(u).name) {
+        unit_key[static_cast<size_t>(u)] = prev;
+        break;
+      }
+    }
   }
-  std::map<std::pair<std::string, std::string>, OpRow> ops;
+  // Each label id is canonicalized once, on first sight; op cells are
+  // indexed by canonical label × unit.
+  std::vector<int> canon_of(static_cast<size_t>(soc.label_count()), -1);
+  std::map<std::string, int> canon_index;
+  std::vector<const std::string*> canon_names;
+  std::vector<OpRow> cells;
 
-  soc.VisitFinishedKernels([&](const std::string& label, sim::UnitId unit,
-                               MicroSeconds start, MicroSeconds end,
-                               Bytes bytes, Flops flops) {
-    const MicroSeconds clipped_start = std::max(start, window_start);
-    const MicroSeconds clipped_end = std::min(end, window_end);
+  for (sim::KernelHandle h = 0; h < soc.kernel_count(); ++h) {
+    if (!soc.IsFinished(h)) {
+      continue;
+    }
+    const sim::KernelRecord& r = soc.record(h);
+    const MicroSeconds clipped_start = std::max(r.start, window_start);
+    const MicroSeconds clipped_end = std::min(r.end, window_end);
     if (clipped_end <= clipped_start) {
-      return;
+      continue;
     }
     const MicroSeconds dur = clipped_end - clipped_start;
     // A kernel straddling the window boundary contributes only the clipped
     // slice of its traffic/work, matching its clipped time contribution —
     // otherwise windowed GB/s and TFLOPS overshoot at both window edges.
-    const double fraction = end > start ? dur / (end - start) : 1.0;
-    const Bytes clipped_bytes = bytes * fraction;
-    const Flops clipped_flops = flops * fraction;
-    UnitRow& row = units[static_cast<size_t>(unit)];
+    const double fraction = r.end > r.start ? dur / (r.end - r.start) : 1.0;
+    const Bytes clipped_bytes = r.bytes * fraction;
+    const Flops clipped_flops = r.flops * fraction;
+    UnitRow& row = units[static_cast<size_t>(r.unit)];
     row.busy += dur;
     ++row.kernels;
     row.bytes += clipped_bytes;
     row.flops += clipped_flops;
 
-    const std::string canon = CanonicalizeKernelLabel(label);
-    OpRow& op = ops[{canon, row.unit}];
-    op.op = canon;
-    op.unit = row.unit;
+    int& canon = canon_of[static_cast<size_t>(r.label)];
+    if (canon < 0) {
+      auto [it, added] =
+          canon_index.emplace(CanonicalizeKernelLabel(soc.label_name(r.label)),
+                              static_cast<int>(canon_names.size()));
+      canon = it->second;
+      if (added) {
+        canon_names.push_back(&it->first);
+        cells.resize(canon_names.size() * static_cast<size_t>(unit_count));
+      }
+    }
+    const int cell = canon * unit_count + unit_key[static_cast<size_t>(r.unit)];
+    OpRow& op = cells[static_cast<size_t>(cell)];
+    if (op.count == 0) {
+      op.op = *canon_names[static_cast<size_t>(canon)];
+      op.unit = row.unit;
+    }
     op.total += dur;
     ++op.count;
     op.bytes += clipped_bytes;
     op.flops += clipped_flops;
-  });
+  }
 
   const MicroSeconds window = report.window();
   for (UnitRow& row : units) {
@@ -79,9 +111,16 @@ ExecutionReport ExecutionReport::Build(const Platform& platform,
   }
   report.units = std::move(units);
 
-  for (auto& [key, op] : ops) {
-    report.ops.push_back(op);
+  for (OpRow& op : cells) {
+    if (op.count > 0) {
+      report.ops.push_back(std::move(op));
+    }
   }
+  // Rank from (label, unit) order, so equal totals always tie-break alike.
+  std::sort(report.ops.begin(), report.ops.end(),
+            [](const OpRow& a, const OpRow& b) {
+              return std::tie(a.op, a.unit) < std::tie(b.op, b.unit);
+            });
   std::sort(report.ops.begin(), report.ops.end(),
             [](const OpRow& a, const OpRow& b) { return a.total > b.total; });
   if (static_cast<int>(report.ops.size()) > top_n) {

@@ -58,11 +58,17 @@ const Tensor& ScheduleExecutor::Gamma(int64_t ref) const {
   __builtin_unreachable();
 }
 
-PhaseStats ScheduleExecutor::Run(const graph::CompiledSchedule& sched,
+PhaseStats ScheduleExecutor::Run(graph::CompiledSchedule& sched,
                                  const StepBatch& batch) {
   EngineBase& e = *e_;
   const MicroSeconds start = e.host_now_;
   e.graph_gen_accum_ = 0;
+  // Graphs are only ever removed by a cache clear, which bumps the
+  // generation: while it has not moved, every graph an earlier replay of
+  // this schedule found (or compiled) is still there.
+  const uint64_t graph_generation = e.platform_->graph_cache().generation();
+  const bool graphs_confirmed =
+      sched.npu_graphs_generation == graph_generation;
 
   std::vector<Value> slots(sched.num_slots);
   slots[sched.input_slot].tensor = batch.input;
@@ -85,7 +91,7 @@ PhaseStats ScheduleExecutor::Run(const graph::CompiledSchedule& sched,
         }
         slots[step.out] = e.ExecuteMatmulPlanned(
             step.site, step.op_id, step.plan, slots[step.a], parts,
-            sched.phase);
+            sched.phase, graphs_confirmed);
         break;
       }
       case StepKind::kRmsNorm:
@@ -133,6 +139,8 @@ PhaseStats ScheduleExecutor::Run(const graph::CompiledSchedule& sched,
       }
     }
   }
+
+  sched.npu_graphs_generation = graph_generation;
 
   Value& hidden = slots[sched.hidden_slot];
   Value& logits = slots[sched.logits_slot];

@@ -22,8 +22,11 @@ class ScheduleExecutor {
   }
 
   // Replays `sched` on `batch` (validated, caches resolved); returns the
-  // phase stats the legacy loop would have produced.
-  PhaseStats Run(const graph::CompiledSchedule& sched, const StepBatch& batch);
+  // phase stats the legacy loop would have produced. A replay runs the
+  // NPU-graph checks only when the graph cache has been cleared since
+  // `sched` last ran them; a replay that runs them records the cache's
+  // generation in `sched`.
+  PhaseStats Run(graph::CompiledSchedule& sched, const StepBatch& batch);
 
  private:
   using Value = EngineBase::Value;

@@ -81,6 +81,9 @@ struct CompiledSchedule {
   int fused_qkv_steps = 0;
   int merge_steps = 0;   // partitioned matmuls requiring a host-side merge
   int npu_graph_refs = 0;
+  // hal::NpuGraphCache::generation() at which a replay last found every
+  // NPU graph the steps execute; 0 = never (generations start at 1).
+  uint64_t npu_graphs_generation = 0;
 
   // One-line structural summary ("steps=… matmuls=… fused_qkv=… …").
   std::string Summary() const;

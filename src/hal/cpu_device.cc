@@ -22,7 +22,7 @@ CpuDevice::CpuDevice(std::string name, sim::SocSimulator* soc,
 
 sim::KernelDesc CpuDevice::CostMatmul(const MatmulSpec& spec) const {
   sim::KernelDesc desc;
-  desc.label = name_ + ":matmul";
+  desc.label = matmul_label_;
   desc.compute_time = spec.flops() / PeakMatmulRate(spec.precision);
   desc.memory_bytes = (spec.a_bytes() + spec.b_bytes() + spec.out_bytes()) /
                       config_.memory_efficiency;

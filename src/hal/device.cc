@@ -21,6 +21,9 @@ Device::Device(std::string name, Backend backend, sim::SocSimulator* soc,
     : name_(std::move(name)), backend_(backend), soc_(soc) {
   HCHECK(soc != nullptr);
   unit_ = soc_->AddUnit(unit_spec);
+  matmul_label_ = soc_->InternLabel(name_ + ":matmul");
+  elementwise_label_ = soc_->InternLabel(name_ + ":elementwise");
+  attention_label_ = soc_->InternLabel(name_ + ":attention");
 }
 
 void Device::ApplyOperatingPoint(sim::KernelDesc* desc) const {
@@ -33,7 +36,7 @@ void Device::ApplyOperatingPoint(sim::KernelDesc* desc) const {
 
 sim::KernelDesc Device::CostElementwise(const ElementwiseSpec& spec) const {
   sim::KernelDesc desc;
-  desc.label = name_ + ":elementwise";
+  desc.label = elementwise_label_;
   desc.compute_time = static_cast<double>(spec.elems) * spec.flops_per_elem /
                       vector_rate_flops_per_us_;
   desc.memory_bytes = static_cast<double>(spec.elems) * spec.bytes_per_elem;
@@ -45,7 +48,7 @@ sim::KernelDesc Device::CostElementwise(const ElementwiseSpec& spec) const {
 
 sim::KernelDesc Device::CostAttention(const AttentionSpec& spec) const {
   sim::KernelDesc desc;
-  desc.label = name_ + ":attention";
+  desc.label = attention_label_;
   desc.compute_time = spec.flops() / vector_rate_flops_per_us_;
   desc.memory_bytes =
       spec.kv_bytes() +

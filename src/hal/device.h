@@ -125,6 +125,10 @@ class Device {
   Backend backend_;
   sim::SocSimulator* soc_;
   sim::UnitId unit_;
+  // "<name>:matmul" / ":elementwise" / ":attention", interned once.
+  sim::LabelId matmul_label_ = 0;
+  sim::LabelId elementwise_label_ = 0;
+  sim::LabelId attention_label_ = 0;
   // Generic per-kernel device-side launch latency.
   MicroSeconds launch_overhead_us_ = 8.0;
   // Elementwise + attention throughput (flops/µs) for the default impls.

@@ -25,7 +25,7 @@ GpuDevice::GpuDevice(std::string name, sim::SocSimulator* soc,
 
 sim::KernelDesc GpuDevice::CostMatmul(const MatmulSpec& spec) const {
   sim::KernelDesc desc;
-  desc.label = name_ + ":matmul";
+  desc.label = matmul_label_;
   // GPUs run arbitrary shapes at a flat efficiency: compute time is linear
   // in FLOPs (GPU-① linear performance). Memory-boundness for small shapes
   // falls out of the roofline in the simulator.

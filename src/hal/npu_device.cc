@@ -52,7 +52,7 @@ sim::KernelDesc NpuDevice::CostMatmul(const MatmulSpec& spec) const {
   const int64_t k_pad = gemv ? spec.k : AlignUp(spec.k, config_.tile);
 
   sim::KernelDesc desc;
-  desc.label = name_ + ":matmul";
+  desc.label = matmul_label_;
 
   // NPU-①: the hardware computes on the padded grid, so padded FLOPs are
   // what the array executes regardless of the logical shape.

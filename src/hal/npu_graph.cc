@@ -34,6 +34,7 @@ MicroSeconds NpuGraphCache::Prepare(const NpuGraphKey& key) {
 void NpuGraphCache::Clear() {
   graphs_.clear();
   total_generation_time_ = 0;
+  ++generation_;
 }
 
 }  // namespace heterollm::hal

@@ -77,7 +77,13 @@ class NpuGraphCache {
 
   int size() const { return static_cast<int>(graphs_.size()); }
   MicroSeconds total_generation_time() const { return total_generation_time_; }
+  // Removes every graph and bumps generation().
   void Clear();
+
+  // Starts at 1 and advances on every Clear(): graphs are never removed
+  // otherwise, so a graph found present stays present while the generation
+  // is unchanged.
+  uint64_t generation() const { return generation_; }
 
   const NpuGraphConfig& config() const { return config_; }
 
@@ -85,6 +91,7 @@ class NpuGraphCache {
   NpuGraphConfig config_;
   std::unordered_set<NpuGraphKey, NpuGraphKeyHash> graphs_;
   MicroSeconds total_generation_time_ = 0;
+  uint64_t generation_ = 1;
 };
 
 }  // namespace heterollm::hal

@@ -397,6 +397,9 @@ class Parser {
       if (c == '"') {
         return out;
       }
+      if (static_cast<unsigned char>(c) < 0x20) {
+        return Error("unescaped control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;

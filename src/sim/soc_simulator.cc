@@ -16,7 +16,24 @@ constexpr double kTimeEpsilon = 1e-6;
 }  // namespace
 
 SocSimulator::SocSimulator(const MemoryConfig& mem_config)
-    : memory_(mem_config) {}
+    : memory_(mem_config) {
+  InternLabel("");
+}
+
+LabelId SocSimulator::InternLabel(std::string_view label) {
+  auto it = label_ids_.find(label);
+  if (it != label_ids_.end()) {
+    return it->second;
+  }
+  const LabelId id = static_cast<LabelId>(label_names_.size());
+  label_ids_.emplace(label_names_.emplace_back(label), id);
+  return id;
+}
+
+const std::string& SocSimulator::label_name(LabelId id) const {
+  HCHECK(id >= 0 && id < label_count());
+  return label_names_[static_cast<size_t>(id)];
+}
 
 UnitId SocSimulator::AddUnit(const UnitSpec& spec) {
   HCHECK(spec.bandwidth_cap_bytes_per_us > 0);
@@ -36,7 +53,7 @@ const UnitSpec& SocSimulator::unit_spec(UnitId unit) const {
 }
 
 void SocSimulator::EnableThermal(const ThermalConfig& config) {
-  HCHECK_MSG(kernels_.empty(),
+  HCHECK_MSG(kernel_count() == 0,
              "EnableThermal must be called before any kernel is submitted");
   if (!config.enabled) {
     thermal_.reset();
@@ -85,57 +102,70 @@ MicroSeconds SocSimulator::NextConditionEventTime() const {
   return trace_[next_event_].time;
 }
 
-KernelHandle SocSimulator::Submit(UnitId unit, KernelDesc desc,
+KernelHandle SocSimulator::Submit(UnitId unit, const KernelDesc& desc,
                                   MicroSeconds submit_time) {
   HCHECK(unit >= 0 && unit < unit_count());
   HCHECK_MSG(submit_time >= now_ - kTimeEpsilon,
              "kernel submitted in the resolved past");
   HCHECK(desc.compute_time >= 0 && desc.memory_bytes >= 0 &&
          desc.launch_overhead >= 0);
-  Kernel k;
-  k.unit = unit;
-  k.desc = std::move(desc);
+  HCHECK(desc.label >= 0 && desc.label < label_count());
+  const KernelHandle handle = timeline_.Append(
+      {desc.label, unit, 0, 0, desc.memory_bytes, desc.flops});
+  LiveKernel k;
   k.submit_time = std::max(submit_time, now_);
-  kernels_.push_back(std::move(k));
-  KernelHandle handle = static_cast<KernelHandle>(kernels_.size()) - 1;
+  k.compute_time = desc.compute_time;
+  k.launch_overhead = desc.launch_overhead;
+  k.power_scale = desc.power_scale;
+  live_.push_back(k);
   // The device executes commands in arrival-time order: a submission with an
   // earlier timestamp (e.g. the control plane enqueueing ahead of a
   // pre-scheduled frame) runs first, stable for equal times.
   auto& queue = units_[static_cast<size_t>(unit)].queue;
   auto pos = queue.end();
-  while (pos != queue.begin() &&
-         kernel(*(pos - 1)).submit_time >
-             kernels_[static_cast<size_t>(handle)].submit_time) {
+  while (pos != queue.begin() && live(*(pos - 1)).submit_time > k.submit_time) {
     --pos;
   }
   queue.insert(pos, handle);
   return handle;
 }
 
-SocSimulator::Kernel& SocSimulator::kernel(KernelHandle k) {
-  HCHECK(k >= 0 && k < static_cast<KernelHandle>(kernels_.size()));
-  return kernels_[static_cast<size_t>(k)];
+SocSimulator::LiveKernel& SocSimulator::live(KernelHandle k) {
+  HCHECK(k >= first_live_ && k < kernel_count());
+  return live_[static_cast<size_t>(k - first_live_)];
 }
 
-const SocSimulator::Kernel& SocSimulator::kernel(KernelHandle k) const {
-  HCHECK(k >= 0 && k < static_cast<KernelHandle>(kernels_.size()));
-  return kernels_[static_cast<size_t>(k)];
+const SocSimulator::LiveKernel& SocSimulator::live(KernelHandle k) const {
+  HCHECK(k >= first_live_ && k < kernel_count());
+  return live_[static_cast<size_t>(k - first_live_)];
+}
+
+void SocSimulator::ReleaseFinishedKernels() {
+  while (!live_.empty() && live_.front().state == KernelState::kFinished) {
+    live_.pop_front();
+    ++first_live_;
+  }
+}
+
+const KernelRecord& SocSimulator::record(KernelHandle k) const {
+  HCHECK(k >= 0 && k < kernel_count());
+  return timeline_[k];
 }
 
 bool SocSimulator::IsFinished(KernelHandle k) const {
-  return kernel(k).state == KernelState::kFinished;
+  HCHECK(k >= 0 && k < kernel_count());
+  return k < first_live_ || live(k).state == KernelState::kFinished;
 }
 
 MicroSeconds SocSimulator::CompletionTime(KernelHandle k) const {
-  const Kernel& kn = kernel(k);
-  HCHECK_MSG(kn.state == KernelState::kFinished, "kernel not finished");
-  return kn.end_time;
+  HCHECK_MSG(IsFinished(k), "kernel not finished");
+  return timeline_[k].end;
 }
 
 MicroSeconds SocSimulator::StartTime(KernelHandle k) const {
-  const Kernel& kn = kernel(k);
-  HCHECK_MSG(kn.state != KernelState::kPending, "kernel not started");
-  return kn.start_time;
+  HCHECK_MSG(IsFinished(k) || live(k).state != KernelState::kPending,
+             "kernel not started");
+  return timeline_[k].start;
 }
 
 bool SocSimulator::UnitHasWork(UnitId unit) const {
@@ -153,26 +183,23 @@ void SocSimulator::StartEligibleKernels() {
   for (auto& unit : units_) {
     while (unit.running == kInvalidKernel && !unit.queue.empty()) {
       KernelHandle head = unit.queue.front();
-      Kernel& k = kernel(head);
+      LiveKernel& k = live(head);
       if (k.submit_time > now_ + kTimeEpsilon) {
         break;
       }
       unit.queue.pop_front();
       unit.running = head;
       k.state = KernelState::kRunning;
-      k.start_time = now_;
-      MicroSeconds work_begin = now_ + k.desc.launch_overhead;
-      k.compute_end = work_begin + k.desc.compute_time;
-      if (k.desc.memory_bytes > 0) {
+      KernelRecord& rec = timeline_[head];
+      rec.start = now_;
+      MicroSeconds work_begin = now_ + k.launch_overhead;
+      k.compute_end = work_begin + k.compute_time;
+      if (rec.bytes > 0) {
         // The stream opens immediately; the launch overhead is folded into
         // the compute deadline (negligible skew at µs scale, avoids a
         // two-phase kernel state machine).
-        k.stream = memory_.OpenStream(unit.spec.bandwidth_cap_bytes_per_us,
-                                      k.desc.memory_bytes);
-        k.stream_done = false;
-      } else {
-        k.stream = -1;
-        k.stream_done = true;
+        k.stream =
+            memory_.OpenStream(unit.spec.bandwidth_cap_bytes_per_us, rec.bytes);
       }
     }
   }
@@ -183,22 +210,23 @@ void SocSimulator::FinishCompletedKernels() {
     if (unit.running == kInvalidKernel) {
       continue;
     }
-    Kernel& k = kernel(unit.running);
-    if (!k.stream_done && memory_.IsDone(k.stream)) {
+    LiveKernel& k = live(unit.running);
+    if (k.stream >= 0 && memory_.IsDone(k.stream)) {
       memory_.CloseStream(k.stream);
       k.stream = -1;
-      k.stream_done = true;
     }
-    if (k.stream_done && k.compute_end <= now_ + kTimeEpsilon) {
+    if (k.stream < 0 && k.compute_end <= now_ + kTimeEpsilon) {
       k.state = KernelState::kFinished;
-      k.end_time = now_;
-      MicroSeconds busy = k.end_time - k.start_time;
+      KernelRecord& rec = timeline_[unit.running];
+      rec.end = now_;
+      MicroSeconds busy = rec.end - rec.start;
       unit.busy_time += busy;
-      unit.last_completion = k.end_time;
-      power_.AddActive(unit.power_index, busy * k.desc.power_scale);
+      unit.last_completion = rec.end;
+      power_.AddActive(unit.power_index, busy * k.power_scale);
       unit.running = kInvalidKernel;
     }
   }
+  ReleaseFinishedKernels();
 }
 
 void SocSimulator::IntegrateThermal(MicroSeconds dt) {
@@ -211,7 +239,7 @@ void SocSimulator::IntegrateThermal(MicroSeconds dt) {
     const PowerRating& rating = power_.rating(u.power_index);
     double watts = rating.idle_watts;
     if (u.running != kInvalidKernel) {
-      watts = rating.active_watts * kernel(u.running).desc.power_scale;
+      watts = rating.active_watts * live(u.running).power_scale;
     }
     thermal_->Integrate(u.thermal_index, watts, dt);
   }
@@ -300,14 +328,14 @@ void SocSimulator::RunUntil(const std::function<bool()>& done) {
     MicroSeconds next = std::numeric_limits<MicroSeconds>::infinity();
     for (const auto& unit : units_) {
       if (unit.running != kInvalidKernel) {
-        const Kernel& k = kernel(unit.running);
+        const LiveKernel& k = live(unit.running);
         MicroSeconds est = k.compute_end;
-        if (!k.stream_done) {
+        if (k.stream >= 0) {
           est = std::max(est, memory_.EstimateCompletion(k.stream));
         }
         next = std::min(next, est);
       } else if (!unit.queue.empty()) {
-        next = std::min(next, kernel(unit.queue.front()).submit_time);
+        next = std::min(next, live(unit.queue.front()).submit_time);
       }
     }
     // An idle advance supplies its own target, so empty queues are not a
@@ -333,13 +361,14 @@ void SocSimulator::RunUntil(const std::function<bool()>& done) {
   }
   for (const auto& unit : units_) {
     if (unit.running != kInvalidKernel) {
-      const Kernel& k = kernel(unit.running);
+      const LiveKernel& k = live(unit.running);
       std::fprintf(stderr,
                    "stuck unit=%s kernel=%s compute_end=%.9f stream_done=%d "
                    "now=%.9f\n",
-                   unit.spec.name.c_str(), k.desc.label.c_str(),
-                   k.compute_end, k.stream_done ? 1 : 0, now_);
-      if (!k.stream_done) {
+                   unit.spec.name.c_str(),
+                   label_name(timeline_[unit.running].label).c_str(),
+                   k.compute_end, k.stream < 0 ? 1 : 0, now_);
+      if (k.stream >= 0) {
         std::fprintf(stderr, "  stream est=%.9f rate=%.6f\n",
                      memory_.EstimateCompletion(k.stream),
                      memory_.AllocatedRate(k.stream));
@@ -347,17 +376,6 @@ void SocSimulator::RunUntil(const std::function<bool()>& done) {
     }
   }
   HCHECK_MSG(false, "simulator exceeded event budget (livelock?)");
-}
-
-void SocSimulator::VisitFinishedKernels(
-    const std::function<void(const std::string&, UnitId, MicroSeconds,
-                             MicroSeconds, Bytes, Flops)>& visitor) const {
-  for (const Kernel& k : kernels_) {
-    if (k.state == KernelState::kFinished) {
-      visitor(k.desc.label, k.unit, k.start_time, k.end_time,
-              k.desc.memory_bytes, k.desc.flops);
-    }
-  }
 }
 
 MicroSeconds SocSimulator::WaitForKernel(KernelHandle k) {

@@ -23,6 +23,14 @@
 // models sample at submission time, and a monotonically increasing
 // *device-state epoch* lets engines detect that cached plans / compiled
 // schedules were built against stale device performance.
+//
+// Kernel state is split in two. Every issued handle owns a compact record in
+// an append-only `KernelTimeline` (label id, unit, start, end, bytes, flops),
+// which is all the trace exporter and the execution report read. Only pending
+// and running kernels — plus finished ones behind an older unfinished handle —
+// keep their scheduling state in a small live table, which is empty again
+// after `DrainAll`. Labels are interned once into a simulator-owned table, so
+// submitting a kernel does no string work.
 
 #ifndef SRC_SIM_SOC_SIMULATOR_H_
 #define SRC_SIM_SOC_SIMULATOR_H_
@@ -30,20 +38,21 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/common/types.h"
+#include "src/sim/kernel_timeline.h"
 #include "src/sim/memory_system.h"
 #include "src/sim/power_model.h"
 #include "src/sim/thermal_model.h"
 
 namespace heterollm::sim {
 
-using UnitId = int;
-using KernelHandle = int64_t;
 inline constexpr KernelHandle kInvalidKernel = -1;
 
 // Static description of an execution unit.
@@ -56,7 +65,7 @@ struct UnitSpec {
 
 // One unit of work on a device queue.
 struct KernelDesc {
-  std::string label;
+  LabelId label = 0;  // from SocSimulator::InternLabel; 0 = unlabeled
   // Contention-free compute duration (already includes the device's
   // shape-dependent efficiency — computed by the HAL cost models).
   MicroSeconds compute_time = 0;
@@ -85,7 +94,8 @@ class SocSimulator {
 
   // Enqueues `desc` on `unit`, visible to the device no earlier than
   // `submit_time` (which must be >= the currently resolved time).
-  KernelHandle Submit(UnitId unit, KernelDesc desc, MicroSeconds submit_time);
+  KernelHandle Submit(UnitId unit, const KernelDesc& desc,
+                      MicroSeconds submit_time);
 
   // Advances simulation until `k` finishes; returns its completion time.
   MicroSeconds WaitForKernel(KernelHandle k);
@@ -121,12 +131,28 @@ class SocSimulator {
   // Cumulative busy time of `unit` (only counts resolved kernels).
   MicroSeconds UnitBusyTime(UnitId unit) const;
 
-  // Visits every kernel resolved as finished, in submission order
-  // (label, unit, start, end, memory bytes, flops). Used by the trace
-  // exporter and the execution report.
-  void VisitFinishedKernels(
-      const std::function<void(const std::string&, UnitId, MicroSeconds,
-                               MicroSeconds, Bytes, Flops)>& visitor) const;
+  // --- kernel timeline -----------------------------------------------------
+
+  // Handles issued so far are [0, kernel_count()), in submission order.
+  KernelHandle kernel_count() const { return timeline_.size(); }
+
+  // The timeline record of `k`. Label, unit, bytes and flops are set at
+  // submission; `start` once it started, `end` once IsFinished(k).
+  const KernelRecord& record(KernelHandle k) const;
+
+  // Kernels whose scheduling state is still held (pending, running, or
+  // finished behind an older unfinished handle); 0 after DrainAll.
+  size_t live_kernel_count() const { return live_.size(); }
+
+  // Returns the id of `label`, adding it on first use. Equal strings get
+  // equal ids; ids are dense from 0 (the empty label).
+  LabelId InternLabel(std::string_view label);
+
+  // The string `id` was interned from; valid for the simulator's lifetime.
+  const std::string& label_name(LabelId id) const;
+
+  // Number of interned labels (ids are [0, label_count())).
+  int label_count() const { return static_cast<int>(label_names_.size()); }
 
   // --- dynamic conditions --------------------------------------------------
 
@@ -180,16 +206,17 @@ class SocSimulator {
  private:
   enum class KernelState { kPending, kRunning, kFinished };
 
-  struct Kernel {
-    UnitId unit = -1;
-    KernelDesc desc;
+  // Scheduling state of a kernel that has not yet left the live table.
+  struct LiveKernel {
     MicroSeconds submit_time = 0;
-    KernelState state = KernelState::kPending;
-    MicroSeconds start_time = 0;
+    MicroSeconds compute_time = 0;
+    MicroSeconds launch_overhead = 0;
+    double power_scale = 1.0;
     MicroSeconds compute_end = 0;  // valid once running
-    StreamId stream = -1;          // -1 when no memory traffic / closed
-    bool stream_done = false;
-    MicroSeconds end_time = 0;  // valid once finished
+    // Open memory stream while running; -1 when the kernel moves no bytes
+    // or its stream has completed.
+    StreamId stream = -1;
+    KernelState state = KernelState::kPending;
   };
 
   struct Unit {
@@ -207,8 +234,12 @@ class SocSimulator {
     uint64_t epoch = 0;  // global epoch at the unit's last state change
   };
 
-  Kernel& kernel(KernelHandle k);
-  const Kernel& kernel(KernelHandle k) const;
+  // Live-table entry of `k`, which must not have been released yet.
+  LiveKernel& live(KernelHandle k);
+  const LiveKernel& live(KernelHandle k) const;
+
+  // Drops the finished prefix of the live table.
+  void ReleaseFinishedKernels();
 
   // Moves queue heads whose submit time has arrived onto idle units.
   void StartEligibleKernels();
@@ -239,7 +270,13 @@ class SocSimulator {
   PowerMeter power_;
   MicroSeconds now_ = 0;
   std::vector<Unit> units_;
-  std::vector<Kernel> kernels_;
+  KernelTimeline timeline_;
+  // Live kernels, handles [first_live_, first_live_ + live_.size()).
+  std::deque<LiveKernel> live_;
+  KernelHandle first_live_ = 0;
+  // A deque keeps every name, and the views keying label_ids_, in place.
+  std::deque<std::string> label_names_;
+  std::map<std::string_view, LabelId> label_ids_;
 
   std::unique_ptr<ThermalModel> thermal_;
   std::vector<ConditionEvent> trace_;

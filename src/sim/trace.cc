@@ -1,45 +1,12 @@
 #include "src/sim/trace.h"
 
+#include <string>
+#include <vector>
+
 #include "src/common/strings.h"
+#include "src/report/json.h"
 
 namespace heterollm::sim {
-
-namespace {
-
-// Escapes the minimal JSON-string-breaking characters in kernel labels.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<KernelRecord> CollectFinishedKernels(const SocSimulator& soc) {
-  std::vector<KernelRecord> records;
-  soc.VisitFinishedKernels([&](const std::string& label, UnitId unit,
-                               MicroSeconds start, MicroSeconds end,
-                               Bytes bytes, Flops flops) {
-    records.push_back(
-        {label, unit, soc.unit_spec(unit).name, start, end, bytes, flops});
-  });
-  return records;
-}
 
 void WriteChromeTrace(const SocSimulator& soc, std::ostream& os) {
   os << "[\n";
@@ -53,11 +20,19 @@ void WriteChromeTrace(const SocSimulator& soc, std::ostream& os) {
     os << StrFormat(
         "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, "
         "\"tid\": %d, \"args\": {\"name\": \"%s\"}}",
-        u, JsonEscape(soc.unit_spec(u).name).c_str());
+        u, report::EscapeJsonString(soc.unit_spec(u).name).c_str());
   }
-  soc.VisitFinishedKernels([&](const std::string& label, UnitId unit,
-                               MicroSeconds start, MicroSeconds end,
-                               Bytes bytes, Flops flops) {
+  // Each distinct label is escaped once.
+  std::vector<std::string> names(static_cast<size_t>(soc.label_count()));
+  for (LabelId id = 0; id < soc.label_count(); ++id) {
+    names[static_cast<size_t>(id)] =
+        report::EscapeJsonString(soc.label_name(id));
+  }
+  for (KernelHandle h = 0; h < soc.kernel_count(); ++h) {
+    if (!soc.IsFinished(h)) {
+      continue;
+    }
+    const KernelRecord& r = soc.record(h);
     if (!first) {
       os << ",\n";
     }
@@ -66,8 +41,9 @@ void WriteChromeTrace(const SocSimulator& soc, std::ostream& os) {
         "  {\"name\": \"%s\", \"ph\": \"X\", \"pid\": 0, \"tid\": %d, "
         "\"ts\": %.3f, \"dur\": %.3f, "
         "\"args\": {\"bytes\": %.0f, \"flops\": %.0f}}",
-        JsonEscape(label).c_str(), unit, start, end - start, bytes, flops);
-  });
+        names[static_cast<size_t>(r.label)].c_str(), r.unit, r.start,
+        r.end - r.start, r.bytes, r.flops);
+  }
   os << "\n]\n";
 }
 

@@ -7,26 +7,10 @@
 #define SRC_SIM_TRACE_H_
 
 #include <ostream>
-#include <string>
-#include <vector>
 
-#include "src/common/types.h"
 #include "src/sim/soc_simulator.h"
 
 namespace heterollm::sim {
-
-struct KernelRecord {
-  std::string label;
-  UnitId unit = -1;
-  std::string unit_name;
-  MicroSeconds start = 0;
-  MicroSeconds end = 0;
-  Bytes bytes = 0;
-  Flops flops = 0;
-};
-
-// All kernels resolved as finished so far, in submission order.
-std::vector<KernelRecord> CollectFinishedKernels(const SocSimulator& soc);
 
 // Writes the finished-kernel timeline as a Chrome trace-event JSON array.
 // Timestamps are simulated µs; one tid per execution unit.

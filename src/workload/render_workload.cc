@@ -15,12 +15,13 @@ void RenderWorkload::SubmitFrames(MicroSeconds duration) {
   const MicroSeconds period = kMicrosPerSecond / config_.target_fps;
   const int draws = std::max(1, config_.draw_calls_per_frame);
   hal::GpuDevice& gpu = platform_->gpu();
+  const sim::LabelId label = platform_->soc().InternLabel("render-draw");
   for (MicroSeconds vsync = 0; vsync < duration; vsync += period) {
     Frame frame;
     frame.vsync = vsync;
     for (int d = 0; d < draws; ++d) {
       sim::KernelDesc desc;
-      desc.label = "render-draw";
+      desc.label = label;
       desc.compute_time = config_.frame_gpu_time_us / draws;
       // Texture/geometry traffic, modest relative to compute.
       desc.memory_bytes =

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/engine_registry.h"
-#include "src/sim/trace.h"
 
 namespace heterollm::core {
 namespace {
@@ -121,19 +120,36 @@ TEST_F(EngineScheduleTest, TimelineHasNoIntraUnitOverlap) {
   Platform plat;
   auto engine = CreateEngine("Hetero-tensor", &plat, &weights_);
   engine->Generate(128, 2);
-  std::vector<sim::KernelRecord> records =
-      sim::CollectFinishedKernels(plat.soc());
-  ASSERT_GT(records.size(), 100u);
+  const sim::SocSimulator& soc = plat.soc();
+  ASSERT_GT(soc.kernel_count(), 100);
   std::map<int, MicroSeconds> last_end;
   // Records are in submission order; per unit, starts must be >= previous
   // end because execution is serial.
-  for (const sim::KernelRecord& r : records) {
+  for (sim::KernelHandle h = 0; h < soc.kernel_count(); ++h) {
+    ASSERT_TRUE(soc.IsFinished(h));
+    const sim::KernelRecord& r = soc.record(h);
     auto it = last_end.find(r.unit);
     if (it != last_end.end()) {
-      EXPECT_GE(r.start, it->second - 1e-6) << r.label;
+      EXPECT_GE(r.start, it->second - 1e-6) << soc.label_name(r.label);
     }
     last_end[r.unit] = std::max(last_end[r.unit], r.end);
   }
+}
+
+TEST_F(EngineScheduleTest, ReplayRechecksNpuGraphsAfterCacheClear) {
+  // Replays skip the per-kernel NPU-graph lookups only while the graph
+  // cache is at the generation a previous replay confirmed; a clear must
+  // bring the preloaded engine's missing-graph check back.
+  Platform plat;
+  auto engine = CreateEngine("Hetero-tensor", &plat, &weights_);
+  const Tensor prompt = Tensor::Deferred(Shape({256, 4096}),
+                                         tensor::DType::kFp16);
+  engine->Prefill(prompt);
+  engine->ResetSession();
+  engine->Prefill(prompt);  // confirmed replay
+  engine->ResetSession();
+  plat.graph_cache().Clear();
+  EXPECT_DEATH(engine->Prefill(prompt), "missing NPU graph");
 }
 
 TEST_F(EngineScheduleTest, HostClockNeverBehindSimulator) {

@@ -94,7 +94,7 @@ TEST_F(ExecutionReportTest, StraddlingKernelProratesBytesAndFlops) {
   const sim::UnitId gpu = plat.gpu().unit();
   // One 100 µs compute-bound kernel carrying 1 MB and 2 GFLOP.
   sim::KernelDesc desc;
-  desc.label = "mm";
+  desc.label = soc.InternLabel("mm");
   desc.compute_time = 100.0;
   desc.memory_bytes = 1e6;
   desc.flops = 2e9;

@@ -12,7 +12,7 @@ class SyncTest : public ::testing::Test {
   }
 
   sim::KernelHandle RunKernel(MicroSeconds compute, MicroSeconds at = 0) {
-    return soc_.Submit(unit_, {"k", compute, 0, 0}, at);
+    return soc_.Submit(unit_, {soc_.InternLabel("k"), compute, 0, 0}, at);
   }
 
   sim::SocSimulator soc_;

@@ -115,6 +115,14 @@ TEST(ParseJson, RejectsMalformedInput) {
   }
 }
 
+TEST(ParseJson, RejectsUnescapedControlCharacters) {
+  EXPECT_FALSE(ParseJson("\"tab\there\"").ok());
+  EXPECT_FALSE(ParseJson("[\"\x01\"]").ok());
+  StatusOr<JsonValue> escaped = ParseJson("\"tab\\there\\u0001\"");
+  ASSERT_TRUE(escaped.ok());
+  EXPECT_EQ(escaped->string_value(), "tab\there\x01");
+}
+
 TEST(ParseJson, RejectsOverDeepNesting) {
   std::string deep;
   for (int i = 0; i < 100; ++i) deep += "[";

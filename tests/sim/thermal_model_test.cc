@@ -98,7 +98,7 @@ TEST(ThermalSocTest, SustainedLoadThrottlesAndBumpsEpoch) {
   // 600 back-to-back 100 ms kernels: 60 s of sustained 1.9 W. Steady state
   // is 47.8 °C and the 45 °C step is crossed at ~31 s.
   for (int i = 0; i < 600; ++i) {
-    soc.Submit(npu, {"k", /*compute=*/100e3, 0, 0}, 0);
+    soc.Submit(npu, {soc.InternLabel("k"), /*compute=*/100e3, 0, 0}, 0);
   }
   soc.DrainAll();
   EXPECT_GT(soc.UnitTemperature(npu), 45.0);
@@ -129,8 +129,8 @@ TEST(ThermalSocTest, ObserverModeIsBitExact) {
     const UnitId gpu = soc->AddUnit(Gpu());
     const UnitId npu = soc->AddUnit(Npu());
     for (int i = 0; i < 50; ++i) {
-      soc->Submit(gpu, {"g", 120.0, 250e3, 2.0}, 0);
-      soc->Submit(npu, {"n", 90.0, 300e3, 1.0}, 0);
+      soc->Submit(gpu, {soc->InternLabel("g"), 120.0, 250e3, 2.0}, 0);
+      soc->Submit(npu, {soc->InternLabel("n"), 90.0, 300e3, 1.0}, 0);
     }
   }
   EXPECT_DOUBLE_EQ(plain.DrainAll(), observed.DrainAll());
@@ -180,7 +180,7 @@ TEST(ThermalSocTest, BackgroundTrafficSlowsMemoryBoundKernel) {
   soc.SetConditionTrace({e});
   // Alone: 340e3 / 45e3 = 7.56 µs. Against a 34e3 B/µs background app the
   // 68e3 ceiling water-fills to 34e3 each: 10 µs.
-  KernelHandle k = soc.Submit(gpu, {"g", 0.0, 340e3, 0}, 0);
+  KernelHandle k = soc.Submit(gpu, {soc.InternLabel("g"), 0.0, 340e3, 0}, 0);
   EXPECT_NEAR(soc.WaitForKernel(k), 10.0, 1e-6);
   EXPECT_DOUBLE_EQ(soc.memory().background_traffic(), 34e3);
   // A shared-resource change invalidates every unit's cached plans.
@@ -214,8 +214,8 @@ TEST(ThermalSocTest, SameTraceTwiceIsDeterministic) {
          /*background_bandwidth_bytes_per_us=*/20e3},
     });
     for (int i = 0; i < 200; ++i) {
-      soc.Submit(gpu, {"g", 50e3, 400e3, 2.0}, 0);
-      soc.Submit(npu, {"n", 60e3, 350e3, 1.0}, 0);
+      soc.Submit(gpu, {soc.InternLabel("g"), 50e3, 400e3, 2.0}, 0);
+      soc.Submit(npu, {soc.InternLabel("n"), 60e3, 350e3, 1.0}, 0);
     }
     const MicroSeconds end = soc.DrainAll();
     return std::make_tuple(end, soc.UnitTemperature(npu),

@@ -61,7 +61,8 @@ TEST(RenderWorkloadTest, SaturatedQueueStarvesFrames) {
   // every frame past its deadline — the §5.5 PPL-OpenCL failure mode.
   core::Platform plat;
   for (int i = 0; i < 100; ++i) {
-    plat.gpu().Submit({"llm", 50e3, 0, 0}, 0);  // 50 ms each
+    // 50 ms each.
+    plat.gpu().Submit({plat.soc().InternLabel("llm"), 50e3, 0, 0}, 0);
   }
   RenderWorkload render(&plat);
   render.SubmitFrames(1e6);
