@@ -398,7 +398,7 @@ EngineBase::Value EngineBase::ExecuteMatmulPlanned(
           has_gpu_piece
               ? Tensor::ConcatCols({npu_piece.tensor, gpu_piece.tensor})
               : std::move(npu_piece.tensor);
-      if (has_gpu_piece && phase == Phase::kDecode && decode_pipelining_) {
+      if (has_gpu_piece && phase == Phase::kDecode) {
         // GPU-dominant pipelining: leave the GPU piece pending; queue order
         // synchronizes any same-device consumer, and a cross-device
         // consumer will fast-sync on it (§4.2).

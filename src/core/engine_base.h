@@ -333,9 +333,6 @@ class EngineBase : public graph::PlacementPolicy {
   // Kernels the host already waited on during the current step (a Value
   // never outlives its step, so the set is cleared at every step start).
   std::unordered_set<int64_t> synced_kernels_;
-  // Decode GPU-dominant pipelining: when true, partitioned decode matmuls
-  // defer the wait on their GPU piece (queue order synchronizes it).
-  bool decode_pipelining_ = true;
   // Workspace slots acquired once per session (pool reuse across layers).
   std::vector<int> workspace_slots_;
   // Layer currently executing (for per-op-instance graph keys).

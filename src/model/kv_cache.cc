@@ -5,124 +5,28 @@
 
 #include "src/common/status.h"
 #include "src/common/strings.h"
+#include "src/model/kv_pool.h"
 
 namespace heterollm::model {
 
 using tensor::Shape;
 using tensor::Tensor;
 
-namespace {
-
-// The legacy contiguous owner: one private block spanning the whole
-// capacity, stored as one [capacity, kv_dim] K and V tensor per layer.
-class ContiguousKvBacking : public KvBlockBacking {
- public:
-  ContiguousKvBacking(const ModelConfig& config, int64_t capacity,
-                      ExecutionMode mode)
-      : config_(config), capacity_(capacity), mode_(mode) {
-    HCHECK(capacity > 0);
-    layers_.resize(static_cast<size_t>(config.num_layers));
-    Materialize();
-  }
-
-  int64_t block_tokens() const override { return capacity_; }
-
-  int32_t AllocateBlock() override {
-    if (allocated_) {
-      return -1;  // the single block is taken
-    }
-    allocated_ = true;
-    refs_ = 1;
-    return 0;
-  }
-
-  void ReleaseBlock(int32_t block) override {
-    HCHECK(block == 0 && allocated_ && refs_ > 0);
-    if (--refs_ == 0) {
-      allocated_ = false;
-      Materialize();  // fresh zeroed storage for the next session
-    }
-  }
-
-  int ref_count(int32_t block) const override {
-    HCHECK(block == 0 && allocated_);
-    return refs_;
-  }
-
-  int32_t ForkBlock(int32_t, int64_t) override {
-    return -1;  // a contiguous owner has nothing to fork into
-  }
-
-  void WriteRow(int32_t block, int layer, int64_t row, const Tensor& k,
-                const Tensor& v, int64_t src_row) override {
-    HCHECK(block == 0 && row >= 0 && row < capacity_);
-    if (mode_ != ExecutionMode::kCompute) {
-      return;
-    }
-    LayerStore& ls = layers_[static_cast<size_t>(layer)];
-    for (int64_t c = 0; c < config_.kv_dim(); ++c) {
-      ls.k.Set(row, c, k.At(src_row, c));
-      ls.v.Set(row, c, v.At(src_row, c));
-    }
-  }
-
-  Tensor ReadK(int32_t block, int layer, int64_t rows) const override {
-    HCHECK(block == 0);
-    return layers_[static_cast<size_t>(layer)].k.SliceRows(0, rows);
-  }
-
-  Tensor ReadV(int32_t block, int layer, int64_t rows) const override {
-    HCHECK(block == 0);
-    return layers_[static_cast<size_t>(layer)].v.SliceRows(0, rows);
-  }
-
- private:
-  struct LayerStore {
-    Tensor k;
-    Tensor v;
-  };
-
-  void Materialize() {
-    const Shape shape({capacity_, config_.kv_dim()});
-    for (LayerStore& ls : layers_) {
-      if (mode_ == ExecutionMode::kCompute) {
-        ls.k = Tensor::Zeros(shape, tensor::DType::kFp16);
-        ls.v = Tensor::Zeros(shape, tensor::DType::kFp16);
-      } else {
-        ls.k = Tensor::Deferred(shape, tensor::DType::kFp16);
-        ls.v = Tensor::Deferred(shape, tensor::DType::kFp16);
-      }
-    }
-  }
-
-  ModelConfig config_;
-  int64_t capacity_ = 0;
-  ExecutionMode mode_ = ExecutionMode::kSimulate;
-  bool allocated_ = false;
-  int refs_ = 0;
-  std::vector<LayerStore> layers_;
-};
-
-}  // namespace
-
 KvCache::KvCache(const ModelConfig& config, int64_t capacity,
                  ExecutionMode mode)
-    : config_(config), mode_(mode), capacity_(capacity) {
-  HCHECK(capacity > 0);
-  owned_backing_ =
-      std::make_unique<ContiguousKvBacking>(config, capacity, mode);
-  backing_ = owned_backing_.get();
+    : config_(config),
+      mode_(mode),
+      capacity_(capacity),
+      private_pool_(std::make_unique<KvBlockPool>(config, capacity,
+                                                  /*num_blocks=*/1, mode)),
+      pool_(private_pool_.get()) {
   appended_.assign(static_cast<size_t>(config.num_layers), 0);
-  // The single block is the view's whole table from day one.
-  const int32_t block = backing_->AllocateBlock();
-  HCHECK(block == 0);
-  blocks_ = {block};
 }
 
-KvCache::KvCache(const ModelConfig& config, KvBlockBacking* backing,
+KvCache::KvCache(const ModelConfig& config, KvBlockPool* pool,
                  ExecutionMode mode, int64_t max_tokens)
-    : config_(config), mode_(mode), capacity_(max_tokens), backing_(backing) {
-  HCHECK(backing != nullptr);
+    : config_(config), mode_(mode), capacity_(max_tokens), pool_(pool) {
+  HCHECK(pool != nullptr);
   HCHECK(max_tokens > 0);
   appended_.assign(static_cast<size_t>(config.num_layers), 0);
 }
@@ -132,26 +36,26 @@ KvCache::KvCache(KvCache&& other) noexcept
       mode_(other.mode_),
       capacity_(other.capacity_),
       length_(other.length_),
-      owned_backing_(std::move(other.owned_backing_)),
-      backing_(other.backing_),
+      private_pool_(std::move(other.private_pool_)),
+      pool_(other.pool_),
       blocks_(std::move(other.blocks_)),
       step_rows_(other.step_rows_),
       appended_(std::move(other.appended_)) {
-  other.backing_ = nullptr;
+  other.pool_ = nullptr;
   other.blocks_.clear();
   other.length_ = 0;
   other.step_rows_ = -1;
 }
 
 KvCache::~KvCache() {
-  if (backing_ != nullptr) {  // moved-from caches skip release
+  if (pool_ != nullptr) {  // moved-from caches skip release
     ReleaseAll();
   }
 }
 
 void KvCache::ReleaseAll() {
   for (int32_t block : blocks_) {
-    backing_->ReleaseBlock(block);
+    pool_->ReleaseBlock(block);
   }
   blocks_.clear();
 }
@@ -160,14 +64,9 @@ void KvCache::Reset() {
   HCHECK_MSG(!step_open(), "Reset with an uncommitted step in flight");
   ReleaseAll();
   length_ = 0;
-  if (owned_backing_ != nullptr) {
-    const int32_t block = backing_->AllocateBlock();
-    HCHECK(block == 0);
-    blocks_ = {block};
-  }
 }
 
-int64_t KvCache::block_tokens() const { return backing_->block_tokens(); }
+int64_t KvCache::block_tokens() const { return pool_->block_tokens(); }
 
 int64_t KvCache::BlocksForTokens(int64_t tokens, int64_t block_tokens) {
   HCHECK(block_tokens > 0);
@@ -182,7 +81,7 @@ int64_t KvCache::BlocksNeededFor(int64_t rows) const {
       std::max<int64_t>(0, BlocksForTokens(length_ + rows, bt) - have);
   // Appending into a shared tail block forks it first (copy-on-write).
   if (length_ % bt != 0 && have > 0 &&
-      backing_->ref_count(blocks_.back()) > 1) {
+      pool_->ref_count(blocks_.back()) > 1) {
     ++need;
   }
   return need;
@@ -191,7 +90,8 @@ int64_t KvCache::BlocksNeededFor(int64_t rows) const {
 void KvCache::AdoptPrefix(const std::vector<int32_t>& blocks, int64_t tokens) {
   HCHECK_MSG(length_ == 0 && blocks_.empty() && !step_open(),
              "AdoptPrefix requires an empty pooled cache");
-  HCHECK(owned_backing_ == nullptr);
+  HCHECK_MSG(private_pool_ == nullptr,
+             "AdoptPrefix into a cache over a private pool");
   HCHECK(tokens >= 0 && tokens <= capacity_);
   // Exactly the blocks the tokens span: a looser table would break the
   // tail-block invariant BeginStep's copy-on-write fork relies on (the
@@ -214,10 +114,10 @@ bool KvCache::TryReserveStep(int64_t rows) {
   // old tail is not released until the whole reservation has succeeded, so
   // a failure below unwinds to exactly the prior state.
   const bool fork_needed = length_ % bt != 0 && !blocks_.empty() &&
-                           backing_->ref_count(blocks_.back()) > 1;
+                           pool_->ref_count(blocks_.back()) > 1;
   int32_t fork = -1;
   if (fork_needed) {
-    fork = backing_->ForkBlock(blocks_.back(), length_ % bt);
+    fork = pool_->ForkBlock(blocks_.back(), length_ % bt);
     if (fork < 0) {
       return false;
     }
@@ -225,20 +125,20 @@ bool KvCache::TryReserveStep(int64_t rows) {
   const int64_t want = BlocksForTokens(length_ + rows, bt);
   std::vector<int32_t> fresh;
   while (held_blocks() + static_cast<int64_t>(fresh.size()) < want) {
-    const int32_t block = backing_->AllocateBlock();
+    const int32_t block = pool_->AllocateBlock();
     if (block < 0) {
       for (int32_t b : fresh) {
-        backing_->ReleaseBlock(b);
+        pool_->ReleaseBlock(b);
       }
       if (fork >= 0) {
-        backing_->ReleaseBlock(fork);
+        pool_->ReleaseBlock(fork);
       }
       return false;
     }
     fresh.push_back(block);
   }
   if (fork >= 0) {
-    backing_->ReleaseBlock(blocks_.back());
+    pool_->ReleaseBlock(blocks_.back());
     blocks_.back() = fork;
   }
   blocks_.insert(blocks_.end(), fresh.begin(), fresh.end());
@@ -254,14 +154,9 @@ void KvCache::BeginStep(int64_t rows) {
 void KvCache::RollbackTo(int64_t tokens) {
   HCHECK_MSG(!step_open(), "RollbackTo with an uncommitted step in flight");
   HCHECK(tokens >= 0 && tokens <= length_);
-  // The legacy contiguous owner keeps its single block: rows past the new
-  // length are never read (Gather stops at the visible rows) and the next
-  // step overwrites them in place.
-  const int64_t keep = owned_backing_ != nullptr
-                           ? held_blocks()
-                           : BlocksForTokens(tokens, block_tokens());
+  const int64_t keep = BlocksForTokens(tokens, block_tokens());
   while (held_blocks() > keep) {
-    backing_->ReleaseBlock(blocks_.back());
+    pool_->ReleaseBlock(blocks_.back());
     blocks_.pop_back();
   }
   length_ = tokens;
@@ -281,8 +176,8 @@ void KvCache::AppendLayer(int layer, const Tensor& k, const Tensor& v) {
     const int64_t bt = block_tokens();
     for (int64_t r = 0; r < step_rows_; ++r) {
       const int64_t pos = length_ + r;
-      backing_->WriteRow(blocks_[static_cast<size_t>(pos / bt)], layer,
-                         pos % bt, k, v, r);
+      pool_->WriteRow(blocks_[static_cast<size_t>(pos / bt)], layer, pos % bt,
+                      k, v, r);
     }
   }
   appended_[static_cast<size_t>(layer)] = step_rows_;
@@ -336,8 +231,8 @@ tensor::Tensor KvCache::Gather(int layer, bool want_k) const {
   for (int64_t pos = 0; pos < rows; pos += bt) {
     const int64_t span = std::min(bt, rows - pos);
     const int32_t block = blocks_[static_cast<size_t>(pos / bt)];
-    parts.push_back(want_k ? backing_->ReadK(block, layer, span)
-                           : backing_->ReadV(block, layer, span));
+    parts.push_back(want_k ? pool_->ReadK(block, layer, span)
+                           : pool_->ReadV(block, layer, span));
   }
   return parts.size() == 1 ? std::move(parts[0]) : Tensor::ConcatRows(parts);
 }

@@ -1,20 +1,14 @@
 // Key/value cache for autoregressive decoding, as a view over a block table.
 //
-// A `KvCache` no longer owns one monolithic [capacity, kv_dim] tensor per
-// layer. It is a *view*: an ordered table of fixed-size token blocks whose
-// storage lives behind a `KvBlockBacking`. Two backings exist:
+// A `KvCache` is an ordered table of fixed-size token blocks whose storage
+// lives in a `KvBlockPool` (src/model/kv_pool.h). Serving sessions share one
+// pool of small refcounted blocks, which lets a scheduler account KV memory
+// at block granularity and share identical prompt prefixes across requests
+// (src/serve/prefix_cache.h). The `(config, capacity, mode)` constructor
+// instead builds a private pool of one `capacity`-token block, owned by the
+// cache: the layout an engine's own session cache needs.
 //
-//   * the legacy contiguous owner (built by the `(config, capacity, mode)`
-//     constructor): a single block spanning the whole capacity, private to
-//     this cache — bit-identical behavior and footprint to the old design;
-//   * `serve::KvBlockPool`: a shared, refcounted pool of small blocks, which
-//     lets a serving scheduler account KV memory at block granularity and
-//     share identical prompt prefixes across requests (see
-//     src/serve/prefix_cache.h).
-//
-// The old per-layer `Append` contract ("all layers must append the same
-// number of rows, and length() is the min across layers") was easy to hold
-// wrong. It is replaced by a transactional step:
+// Appends are transactional steps:
 //
 //   cache.BeginStep(rows);                 // reserves blocks, CoW-forks
 //   cache.AppendLayer(layer, k, v);        // exactly once per layer
@@ -40,61 +34,23 @@
 
 namespace heterollm::model {
 
-// Storage provider behind a KvCache's block table. A block holds
-// `block_tokens()` consecutive token positions for every layer (K and V).
-// Implementations are refcounted so committed blocks can be shared across
-// caches (cross-request prefix reuse); a refcount of 1 means the holder is
-// the sole owner.
-class KvBlockBacking {
- public:
-  virtual ~KvBlockBacking() = default;
-
-  virtual int64_t block_tokens() const = 0;
-
-  // Allocates a free block with refcount 1; returns -1 when exhausted.
-  virtual int32_t AllocateBlock() = 0;
-
-  // Drops one reference; the block returns to the free list at zero.
-  virtual void ReleaseBlock(int32_t block) = 0;
-
-  // Current reference count of an allocated block.
-  virtual int ref_count(int32_t block) const = 0;
-
-  // Copy-on-write fork: allocates a new block whose first `rows` positions
-  // equal `src`'s (all layers, K and V); returns -1 when exhausted. The
-  // caller still holds its reference on `src`.
-  virtual int32_t ForkBlock(int32_t src, int64_t rows) = 0;
-
-  // Writes position `row` of `block` for `layer` from row `src_row` of the
-  // [rows, kv_dim] tensors `k` / `v`. A no-op for shape-only (simulate)
-  // storage.
-  virtual void WriteRow(int32_t block, int layer, int64_t row,
-                        const tensor::Tensor& k, const tensor::Tensor& v,
-                        int64_t src_row) = 0;
-
-  // Reads the first `rows` K (resp. V) positions of `block` for `layer` as
-  // a [rows, kv_dim] tensor.
-  virtual tensor::Tensor ReadK(int32_t block, int layer,
-                               int64_t rows) const = 0;
-  virtual tensor::Tensor ReadV(int32_t block, int layer,
-                               int64_t rows) const = 0;
-};
+class KvBlockPool;
 
 class KvCache {
  public:
-  // Legacy contiguous owner: a private single-block backing with room for
-  // `capacity` positions. Engines use this for their built-in session cache.
+  // A cache over a private pool of one block with room for `capacity`
+  // positions. Engines use this for their built-in session cache.
   KvCache(const ModelConfig& config, int64_t capacity, ExecutionMode mode);
 
-  // Pooled view: blocks are allocated from `backing` on append and released
-  // on Reset/destruction. `max_tokens` caps the positions this view may
-  // hold (a serving scheduler passes prompt + decode budget).
-  KvCache(const ModelConfig& config, KvBlockBacking* backing,
-          ExecutionMode mode, int64_t max_tokens);
+  // A view over a shared `pool`: blocks are allocated on append and released
+  // on Reset/RollbackTo/destruction. `max_tokens` caps the positions this
+  // view may hold (a serving scheduler passes prompt + decode budget).
+  KvCache(const ModelConfig& config, KvBlockPool* pool, ExecutionMode mode,
+          int64_t max_tokens);
 
   ~KvCache();
 
-  // Move leaves the source inert: its `backing_` is nulled so destruction
+  // Move leaves the source inert: its `pool_` is nulled so destruction
   // (and a stray Reset) cannot release blocks it no longer owns. A
   // defaulted move would copy the raw pointer and leave the source armed.
   KvCache(KvCache&& other) noexcept;
@@ -107,7 +63,7 @@ class KvCache {
   // Reserves every block `BeginStep(rows)` would consume: the copy-on-write
   // fork of a shared tail block plus any fresh blocks the new rows spill
   // into. Returns false — with the cache left exactly as it was, every
-  // freshly allocated block returned to the backing — when the pool cannot
+  // freshly allocated block returned to the pool — when the pool cannot
   // supply them, so a serving scheduler can preempt/evict and retry instead
   // of crashing. Idempotent: once it has returned true for `rows`, calling
   // it again (and the BeginStep that follows) allocates nothing.
@@ -171,7 +127,8 @@ class KvCache {
 
   // Adopts `tokens` positions of already-populated blocks as this cache's
   // prefix (a prefix-cache hit). The cache must be empty; the caller
-  // transfers one backing reference per block to the cache.
+  // transfers one pool reference per block to the cache. Only a view over a
+  // shared pool can adopt: a private pool has no blocks to share.
   void AdoptPrefix(const std::vector<int32_t>& blocks, int64_t tokens);
 
   // --- footprint -----------------------------------------------------------
@@ -183,7 +140,7 @@ class KvCache {
   // FP16 byte footprint of the committed positions across all layers.
   Bytes populated_bytes() const;
 
-  // Releases every block back to the backing and clears the table.
+  // Releases every block back to the pool and clears the table.
   void Reset();
 
  private:
@@ -197,9 +154,9 @@ class KvCache {
   int64_t capacity_ = 0;
   int64_t length_ = 0;
 
-  std::unique_ptr<KvBlockBacking> owned_backing_;  // legacy contiguous owner
-  KvBlockBacking* backing_ = nullptr;              // never null
-  std::vector<int32_t> blocks_;                    // the block table
+  std::unique_ptr<KvBlockPool> private_pool_;  // set by the capacity ctor
+  KvBlockPool* pool_ = nullptr;                // null only once moved from
+  std::vector<int32_t> blocks_;                // the block table
 
   // Open-step state: step_rows_ < 0 means no step is open.
   int64_t step_rows_ = -1;

@@ -1,17 +1,16 @@
-#include "src/serve/kv_pool.h"
+#include "src/model/kv_pool.h"
 
 #include <algorithm>
 
 #include "src/common/status.h"
 
-namespace heterollm::serve {
+namespace heterollm::model {
 
 using tensor::Shape;
 using tensor::Tensor;
 
-KvBlockPool::KvBlockPool(const model::ModelConfig& config,
-                         int64_t block_tokens, int64_t num_blocks,
-                         model::ExecutionMode mode)
+KvBlockPool::KvBlockPool(const ModelConfig& config, int64_t block_tokens,
+                         int64_t num_blocks, ExecutionMode mode)
     : config_(config),
       block_tokens_(block_tokens),
       total_blocks_(num_blocks),
@@ -29,13 +28,13 @@ KvBlockPool::KvBlockPool(const model::ModelConfig& config,
 }
 
 Bytes KvBlockPool::bytes_per_block() const {
-  return model::KvCache::BytesForTokens(config_, block_tokens_);
+  return KvCache::BytesForTokens(config_, block_tokens_);
 }
 
-int64_t KvBlockPool::BlocksForBudget(const model::ModelConfig& config,
-                                     Bytes budget, int64_t block_tokens) {
+int64_t KvBlockPool::BlocksForBudget(const ModelConfig& config, Bytes budget,
+                                     int64_t block_tokens) {
   HCHECK(block_tokens >= 1);
-  const Bytes per_block = model::KvCache::BytesForTokens(config, block_tokens);
+  const Bytes per_block = KvCache::BytesForTokens(config, block_tokens);
   HCHECK(per_block > 0);
   return static_cast<int64_t>(budget / per_block);
 }
@@ -59,7 +58,7 @@ int32_t KvBlockPool::AllocateBlock() {
   b.refs = 1;
   ++used_blocks_;
   peak_used_blocks_ = std::max(peak_used_blocks_, used_blocks_);
-  if (mode_ == model::ExecutionMode::kCompute) {
+  if (mode_ == ExecutionMode::kCompute) {
     MaterializeStorage(b);
   }
   return id;
@@ -101,7 +100,7 @@ int32_t KvBlockPool::ForkBlock(int32_t src, int64_t rows) {
     return -1;
   }
   ++cow_forks_;
-  if (mode_ == model::ExecutionMode::kCompute && rows > 0) {
+  if (mode_ == ExecutionMode::kCompute && rows > 0) {
     const Block& from = blocks_[static_cast<size_t>(src)];
     Block& to = blocks_[static_cast<size_t>(id)];
     for (int layer = 0; layer < config_.num_layers; ++layer) {
@@ -119,7 +118,7 @@ int32_t KvBlockPool::ForkBlock(int32_t src, int64_t rows) {
 
 void KvBlockPool::WriteRow(int32_t block, int layer, int64_t row,
                            const Tensor& k, const Tensor& v, int64_t src_row) {
-  if (mode_ != model::ExecutionMode::kCompute) {
+  if (mode_ != ExecutionMode::kCompute) {
     return;
   }
   HCHECK(block >= 0 && block < total_blocks_);
@@ -134,7 +133,7 @@ void KvBlockPool::WriteRow(int32_t block, int layer, int64_t row,
 
 Tensor KvBlockPool::ReadK(int32_t block, int layer, int64_t rows) const {
   HCHECK(block >= 0 && block < total_blocks_);
-  if (mode_ != model::ExecutionMode::kCompute) {
+  if (mode_ != ExecutionMode::kCompute) {
     return Tensor::Deferred(Shape({rows, config_.kv_dim()}),
                             tensor::DType::kFp16);
   }
@@ -145,7 +144,7 @@ Tensor KvBlockPool::ReadK(int32_t block, int layer, int64_t rows) const {
 
 Tensor KvBlockPool::ReadV(int32_t block, int layer, int64_t rows) const {
   HCHECK(block >= 0 && block < total_blocks_);
-  if (mode_ != model::ExecutionMode::kCompute) {
+  if (mode_ != ExecutionMode::kCompute) {
     return Tensor::Deferred(Shape({rows, config_.kv_dim()}),
                             tensor::DType::kFp16);
   }
@@ -155,9 +154,6 @@ Tensor KvBlockPool::ReadV(int32_t block, int layer, int64_t rows) const {
 }
 
 void KvBlockPool::MaterializeStorage(Block& b) {
-  if (!b.k.empty()) {
-    return;
-  }
   const Shape shape({block_tokens_, config_.kv_dim()});
   b.k.reserve(static_cast<size_t>(config_.num_layers));
   b.v.reserve(static_cast<size_t>(config_.num_layers));
@@ -167,8 +163,8 @@ void KvBlockPool::MaterializeStorage(Block& b) {
   }
 }
 
-model::KvCache KvBlockPool::MakeCache(int64_t max_tokens) {
-  return model::KvCache(config_, this, mode_, max_tokens);
+KvCache KvBlockPool::MakeCache(int64_t max_tokens) {
+  return KvCache(config_, this, mode_, max_tokens);
 }
 
-}  // namespace heterollm::serve
+}  // namespace heterollm::model

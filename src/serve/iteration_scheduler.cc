@@ -10,11 +10,12 @@
 
 #include "src/common/rng.h"
 #include "src/model/kv_cache.h"
-#include "src/serve/kv_pool.h"
+#include "src/model/kv_pool.h"
 #include "src/serve/prefix_cache.h"
 
 namespace heterollm::serve {
 
+using model::KvBlockPool;
 using model::KvCache;
 using tensor::Shape;
 using tensor::Tensor;
@@ -64,13 +65,21 @@ int64_t CheckedTotalBlocks(const model::ModelConfig& cfg, Bytes budget,
   return total;
 }
 
+// Idles `engine`'s platform until `t`. Under dynamic conditions the
+// simulator advances too, so units cool and scripted events falling inside
+// the gap are applied on time.
+void IdleTo(core::EngineBase* engine, MicroSeconds t) {
+  sim::SocSimulator& soc = engine->platform()->soc();
+  if (soc.dynamic_conditions()) {
+    soc.AdvanceIdleTo(t);
+  }
+  engine->AdvanceHostTo(t);
+}
+
 }  // namespace
 
-// One continuous-batching window. This is the serving state that used to be
-// local to `RunContinuous`, lifted into a struct so an incremental driver
-// can hold it open across `Submit`/`StepRound` calls; the method bodies are
-// the former lambdas, unchanged, so `Run` (which loops `StepRound` to
-// completion) is step-for-step identical to the old single-pass loop.
+// One continuous-batching window, held open across `Submit`/`StepRound`
+// calls.
 struct IterationScheduler::Continuous {
   Continuous(core::EngineBase* engine, const SchedulerOptions& options,
              ServingMetrics* m)
@@ -140,8 +149,8 @@ struct IterationScheduler::Continuous {
   std::map<size_t, ParkedPrompt> parked;
   int64_t parked_stamp = 0;
 
-  // Grows as requests are handed in: all up front under `Run`, one at a
-  // time under `Submit`. Indices are stable, so they key slots and metrics.
+  // Grows as `Submit` hands requests in. Indices are stable, so they key
+  // slots and metrics.
   std::vector<Request> requests;
   std::vector<Slot> active;
   std::deque<size_t> waiting;  // arrived, not (currently) admitted
@@ -155,6 +164,40 @@ struct IterationScheduler::Continuous {
   std::vector<CompletionEvent> completions;
 
   bool HasWork() const { return completed < requests.size(); }
+
+  void Complete(size_t idx, MicroSeconds t) {
+    m->requests[idx].completion = t;
+    ++completed;
+    completions.push_back({requests[idx].id, t});
+  }
+
+  // The prompt of `slot` has fully committed: TTFT stamps here, the
+  // committed prompt becomes prefix-cache currency, and a decode-less
+  // request completes. Returns true when it completed — the caller then
+  // drops the slot, whose cache returns its blocks to the pool.
+  bool FinishPrompt(const Slot& slot) {
+    const Request& r = requests[slot.idx];
+    RequestMetrics& rm = m->requests[slot.idx];
+    rm.first_token = engine->host_now();
+    if (use_prefix && !r.prompt_tokens.empty()) {
+      prefix.Insert(r.prompt_tokens, slot.cache->blocks(),
+                    slot.cache->length());
+    }
+    if (r.decode_len != 0) {
+      return false;
+    }
+    Complete(slot.idx, rm.first_token);
+    return true;
+  }
+
+  // Waits for the next scripted condition event (a KV squeeze may lift);
+  // `stall` is the abort message when none is left.
+  void WaitForConditionEvent(const char* stall) {
+    const MicroSeconds next_event = soc.NextConditionEventTime();
+    HCHECK_MSG(std::isfinite(next_event), stall);
+    soc.AdvanceIdleTo(next_event);
+    engine->AdvanceHostTo(soc.now());
+  }
 
   void Add(const Request& r) {
     requests.push_back(r);
@@ -324,8 +367,7 @@ struct IterationScheduler::Continuous {
     // high-water mark or a full pool would abort mid-verify.
     const int64_t spec_slack = r.decode_len > 0 ? spec_window : 0;
     // Livelock guard: a conversation that cannot fit the whole budget even
-    // alone would evict forever. (The old reserve-by-max admission enforced
-    // this implicitly; block accounting must keep it explicit.)
+    // alone would evict forever.
     HCHECK_MSG(
         KvCache::BlocksForTokens(r.prompt_len + r.decode_len + spec_slack,
                                  bt) <= total_blocks,
@@ -436,18 +478,7 @@ struct IterationScheduler::Continuous {
                   {slot.cache.get()},
                   DeferredRows(r.prompt_len - hit.tokens, cfg.hidden),
                   /*all_rows_logits=*/false});
-    rm.first_token = engine->host_now();
-    if (use_prefix && !r.prompt_tokens.empty()) {
-      // The committed prompt blocks are now reusable by any later request
-      // with the same prompt head.
-      prefix.Insert(r.prompt_tokens, slot.cache->blocks(),
-                    slot.cache->length());
-    }
-    if (r.decode_len == 0) {
-      rm.completion = rm.first_token;
-      ++completed;  // slot.cache destructs: blocks return to the pool
-      completions.push_back({r.id, rm.completion});
-    } else {
+    if (!FinishPrompt(slot)) {
       active.push_back(std::move(slot));
       m->peak_active_sessions = std::max(
           m->peak_active_sessions, static_cast<int>(active.size()));
@@ -481,7 +512,7 @@ struct IterationScheduler::Continuous {
   // with nothing decoded — only when the pool cannot supply the next
   // block(s) and no recovery move is left; the caller then waits for the
   // next condition event (only a scripted KV squeeze can pin the pool under
-  // the admission-time reservations) instead of the old hard abort.
+  // the admission-time reservations).
   bool DecodeIteration() {
     std::vector<size_t> order = SelectOrder();
     // Rows each session appends this iteration: 1, or draft window + 1
@@ -573,9 +604,7 @@ struct IterationScheduler::Continuous {
       slot.decoded += emitted;
       rm.decoded_tokens = slot.decoded;
       if (slot.decoded >= requests[slot.idx].decode_len) {
-        rm.completion = now;
-        ++completed;
-        completions.push_back({requests[slot.idx].id, now});
+        Complete(slot.idx, now);
         done.push_back(s);
       }
     }
@@ -638,22 +667,8 @@ struct IterationScheduler::Continuous {
                   /*all_rows_logits=*/false});
     ++m->prefill_chunks;
     m->chunked_prefill_tokens += len;
-    if (slot.cache->length() >= r.prompt_len) {
-      // Last chunk committed — the same epilogue the one-shot prefill path
-      // runs at admission: TTFT stamps here, the committed prompt becomes
-      // prefix-cache currency, and decode-less requests complete.
-      RequestMetrics& rm = m->requests[slot.idx];
-      rm.first_token = engine->host_now();
-      if (use_prefix && !r.prompt_tokens.empty()) {
-        prefix.Insert(r.prompt_tokens, slot.cache->blocks(),
-                      slot.cache->length());
-      }
-      if (r.decode_len == 0) {
-        rm.completion = rm.first_token;
-        ++completed;  // slot.cache destructs: blocks return to the pool
-        completions.push_back({r.id, rm.completion});
-        active.erase(active.begin() + static_cast<ptrdiff_t>(pick));
-      }
+    if (slot.cache->length() >= r.prompt_len && FinishPrompt(slot)) {
+      active.erase(active.begin() + static_cast<ptrdiff_t>(pick));
     }
     return true;
   }
@@ -697,8 +712,8 @@ struct IterationScheduler::Continuous {
     return decoded || chunked;
   }
 
-  // One scheduling round — one body of the old serving loop. Returns false
-  // (touching nothing) once every request has completed.
+  // One scheduling round. Returns false (touching nothing) once every
+  // request has completed.
   bool StepRound() {
     if (!HasWork()) {
       return false;
@@ -722,12 +737,9 @@ struct IterationScheduler::Continuous {
         // (admission reserved every session's whole footprint). Wait for
         // the next condition event (the squeeze may lift) instead of
         // aborting; sessions keep their blocks and their progress.
-        const MicroSeconds next_event = soc.NextConditionEventTime();
-        HCHECK_MSG(std::isfinite(next_event),
-                   "KV pool exhausted mid-decode with nothing to evict and "
-                   "no further condition events");
-        soc.AdvanceIdleTo(next_event);
-        engine->AdvanceHostTo(soc.now());
+        WaitForConditionEvent(
+            "KV pool exhausted mid-decode with nothing to evict and no "
+            "further condition events");
       }
     } else if (!waiting.empty()) {
       // Nothing is running, so (modulo cached prefixes, which TryAdmit
@@ -738,24 +750,15 @@ struct IterationScheduler::Continuous {
       // condition event (the squeeze may lift) instead of aborting.
       const bool admitted = TryAdmit();
       if (!admitted && soc.kv_budget_scale() < 1.0) {
-        const MicroSeconds next_event = soc.NextConditionEventTime();
-        HCHECK_MSG(std::isfinite(next_event),
-                   "serving stalled: KV budget squeezed below the head "
-                   "request with no further condition events");
-        soc.AdvanceIdleTo(next_event);
-        engine->AdvanceHostTo(soc.now());
+        WaitForConditionEvent(
+            "serving stalled: KV budget squeezed below the head request "
+            "with no further condition events");
         return true;
       }
       HCHECK_MSG(admitted,
                  "serving stalled: waiting requests but nothing admissible");
     } else if (next_arrival < requests.size()) {
-      const MicroSeconds arrival = requests[next_arrival].arrival;
-      if (soc.dynamic_conditions()) {
-        // Idle gap: advance the simulator too, so units cool and scripted
-        // events falling inside the gap are applied on time.
-        soc.AdvanceIdleTo(arrival);
-      }
-      engine->AdvanceHostTo(arrival);
+      IdleTo(engine, requests[next_arrival].arrival);
     }
     return true;
   }
@@ -812,27 +815,25 @@ ServingMetrics IterationScheduler::Run(const RequestQueue& queue) {
   HCHECK_MSG(cont_ == nullptr,
              "Run() called while an incremental window is open");
   const std::vector<Request>& requests = queue.requests();
+  if (options_.policy == SchedulePolicy::kContinuousBatching) {
+    // The queue is sorted by arrival, so Submit's monotone check holds.
+    BeginWindow();
+    for (const Request& r : requests) {
+      Submit(r);
+    }
+    while (StepRound()) {
+    }
+    return EndWindow();
+  }
   ServingMetrics metrics;
   StartWindow(&metrics);
-  if (options_.policy == SchedulePolicy::kSerial) {
-    metrics.requests.resize(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      metrics.requests[i].id = requests[i].id;
-      metrics.requests[i].arrival = requests[i].arrival;
-      metrics.requests[i].prompt_tokens = requests[i].prompt_len;
-    }
-    RunSerial(requests, &metrics);
-  } else {
-    // Scoped so the pool/prefix cache release their blocks before the
-    // closing drain, matching the old single-pass function's lifetime.
-    Continuous cont(engine_, options_, &metrics);
-    for (const Request& r : requests) {
-      cont.Add(r);
-    }
-    while (cont.StepRound()) {
-    }
-    cont.Finish();
+  metrics.requests.resize(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    metrics.requests[i].id = requests[i].id;
+    metrics.requests[i].arrival = requests[i].arrival;
+    metrics.requests[i].prompt_tokens = requests[i].prompt_len;
   }
+  RunSerial(requests, &metrics);
   FinishWindow(&metrics);
   return metrics;
 }
@@ -910,16 +911,9 @@ int64_t IterationScheduler::ProbePrefixTokens(
 MicroSeconds IterationScheduler::now() const { return engine_->host_now(); }
 
 void IterationScheduler::AdvanceIdleTo(MicroSeconds t) {
-  if (t <= engine_->host_now()) {
-    return;
+  if (t > engine_->host_now()) {
+    IdleTo(engine_, t);
   }
-  sim::SocSimulator& soc = engine_->platform()->soc();
-  if (soc.dynamic_conditions()) {
-    // Idle gap: advance the simulator too, so units cool and scripted
-    // events falling inside the gap are applied on time.
-    soc.AdvanceIdleTo(t);
-  }
-  engine_->AdvanceHostTo(t);
 }
 
 void IterationScheduler::RunSerial(const std::vector<Request>& requests,

@@ -9,7 +9,7 @@
 // per-session. Serial session replay streams the full weight set once per
 // token per user; continuous batching streams it once per iteration.
 //
-// KV memory is managed at *block* granularity (src/serve/kv_pool.h): the
+// KV memory is managed at *block* granularity (src/model/kv_pool.h): the
 // budget is carved into fixed-size token blocks, a session allocates blocks
 // as tokens are appended (not its whole-conversation footprint up front),
 // and committed prompt blocks feed a cross-request prefix cache
@@ -29,9 +29,10 @@
 //   * Incremental: `BeginWindow` / `Submit` / `StepRound` / `EndWindow` let
 //     an outer driver (the cluster front-end, src/serve/cluster/) feed
 //     requests as they are routed and advance the replica one scheduling
-//     round at a time on its own simulated clock. `Run` is implemented on
-//     top of the same rounds, so the two modes are step-for-step identical
-//     on the same request sequence.
+//     round at a time on its own simulated clock. `Run` is `BeginWindow`,
+//     one `Submit` per request, `StepRound` until done and `EndWindow`, so
+//     the two modes are step-for-step identical on the same request
+//     sequence.
 //
 // The scheduler drives `ExecutionMode::kSimulate` engines only — batched
 // decoding shares one forward pass across sessions with different cache
@@ -229,7 +230,8 @@ class IterationScheduler {
  private:
   struct Continuous;  // one continuous-batching window's state
 
-  // Window prologue/epilogue shared by Run and Begin/EndWindow.
+  // Window prologue/epilogue shared by the serial Run and
+  // Begin/EndWindow.
   void StartWindow(ServingMetrics* m);
   void FinishWindow(ServingMetrics* m);
   void RunSerial(const std::vector<Request>& requests, ServingMetrics* m);

@@ -6,7 +6,7 @@
 
 namespace heterollm::serve {
 
-PrefixCache::PrefixCache(KvBlockPool* pool) : pool_(pool) {
+PrefixCache::PrefixCache(model::KvBlockPool* pool) : pool_(pool) {
   HCHECK(pool != nullptr);
 }
 

@@ -28,13 +28,13 @@
 #include <memory>
 #include <vector>
 
-#include "src/serve/kv_pool.h"
+#include "src/model/kv_pool.h"
 
 namespace heterollm::serve {
 
 class PrefixCache {
  public:
-  explicit PrefixCache(KvBlockPool* pool);
+  explicit PrefixCache(model::KvBlockPool* pool);
   ~PrefixCache();
 
   struct Match {
@@ -86,7 +86,7 @@ class PrefixCache {
   // (pool refcount 1). Returns false when nothing is evictable.
   bool EvictLruLeaf();
 
-  KvBlockPool* pool_;
+  model::KvBlockPool* pool_;
   Node root_;
   int64_t clock_ = 0;
   int64_t cached_blocks_ = 0;

@@ -4,6 +4,8 @@
 // This is the test that makes the heterogeneous execution *correct*, not
 // just fast.
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "src/core/engine_registry.h"
@@ -215,6 +217,33 @@ TEST(EngineNumericsTest, ResetSessionClearsState) {
   engine->ResetSession();
   PhaseStats second = engine->Prefill(prompt);
   EXPECT_EQ(Tensor::MaxAbsDiff(first.logits, second.logits), 0.0f);
+
+  // Two sessions on one reused engine match a fresh engine per session bit
+  // for bit, prefill and every decode step. The longer session runs first,
+  // so rows it leaves behind would show up in the shorter one's attention.
+  const char* name = "Hetero-tensor";
+  Platform reused_platform(PlatformOptionsFor(name));
+  auto reused = CreateEngine(name, &reused_platform, &weights);
+  for (const int64_t prompt_len : {11, 5}) {
+    std::vector<Tensor> steps = {
+        Tensor::Random(Shape({prompt_len, cfg.hidden}), rng, 0.1f)};
+    for (int d = 0; d < 3; ++d) {
+      steps.push_back(Tensor::Random(Shape({1, cfg.hidden}), rng, 0.1f));
+    }
+    Platform fresh_platform(PlatformOptionsFor(name));
+    auto fresh = CreateEngine(name, &fresh_platform, &weights);
+    reused->ResetSession();
+    for (size_t i = 0; i < steps.size(); ++i) {
+      const PhaseStats want =
+          i == 0 ? fresh->Prefill(steps[i]) : fresh->DecodeStep(steps[i]);
+      const PhaseStats got =
+          i == 0 ? reused->Prefill(steps[i]) : reused->DecodeStep(steps[i]);
+      EXPECT_EQ(Tensor::MaxAbsDiff(got.hidden, want.hidden), 0.0f)
+          << "prompt " << prompt_len << " step " << i;
+      EXPECT_EQ(Tensor::MaxAbsDiff(got.logits, want.logits), 0.0f)
+          << "prompt " << prompt_len << " step " << i;
+    }
+  }
 }
 
 TEST(EngineNumericsTest, SpeculativeWidthMatchesReference) {

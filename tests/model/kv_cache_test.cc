@@ -191,6 +191,19 @@ TEST(KvCacheTest, RollbackToTruncatesAndAllowsRedecode) {
   EXPECT_EQ(cache.length(), 5);
   cache.RollbackTo(0);
   EXPECT_EQ(cache.length(), 0);
+  EXPECT_EQ(cache.held_blocks(), 0);  // the only block went back to the pool
+
+  // The next step takes a block again, and its rows read back.
+  const Tensor k = Tensor::Random(Shape({4, cfg.kv_dim()}), rng);
+  const Tensor v = Tensor::Random(Shape({4, cfg.kv_dim()}), rng);
+  cache.AppendStep(std::vector<Tensor>(static_cast<size_t>(cfg.num_layers), k),
+                   std::vector<Tensor>(static_cast<size_t>(cfg.num_layers), v));
+  EXPECT_EQ(cache.length(), 4);
+  EXPECT_EQ(cache.held_blocks(), 1);
+  for (int l = 0; l < cfg.num_layers; ++l) {
+    EXPECT_EQ(Tensor::MaxAbsDiff(cache.K(l), k), 0.0f);
+    EXPECT_EQ(Tensor::MaxAbsDiff(cache.V(l), v), 0.0f);
+  }
 }
 
 TEST(KvCacheTest, TryReserveStepOnContiguousCacheIsIdempotent) {

@@ -1,6 +1,6 @@
 // Block pool + prefix cache: refcounts, copy-on-write, fragmentation
 // accounting, LRU eviction, and compute-mode equivalence of the pooled
-// KvCache view against the legacy contiguous cache.
+// KvCache view against a single-block private cache.
 
 #include <cstdint>
 #include <memory>
@@ -12,13 +12,14 @@
 #include "src/common/rng.h"
 #include "src/core/engine_registry.h"
 #include "src/model/kv_cache.h"
-#include "src/serve/kv_pool.h"
+#include "src/model/kv_pool.h"
 #include "src/serve/prefix_cache.h"
 
 namespace heterollm::serve {
 namespace {
 
 using model::ExecutionMode;
+using model::KvBlockPool;
 using model::KvCache;
 using model::ModelConfig;
 using model::ModelWeights;
@@ -207,7 +208,7 @@ TEST(PrefixCacheTest, EvictionIsLruWithTouchRefresh) {
 }
 
 // The acceptance bar for the cache redesign: a pooled KvCache view and the
-// legacy contiguous cache produce bit-identical logits on a full
+// single-block contiguous cache produce bit-identical logits on a full
 // compute-mode generate (prefill + decode steps).
 TEST(PooledComputeTest, PooledCacheMatchesContiguousBitExact) {
   const ModelConfig cfg = ModelConfig::Tiny();

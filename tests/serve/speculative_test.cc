@@ -13,8 +13,8 @@
 
 #include "src/core/engine_registry.h"
 #include "src/model/kv_cache.h"
+#include "src/model/kv_pool.h"
 #include "src/serve/iteration_scheduler.h"
-#include "src/serve/kv_pool.h"
 #include "src/serve/request_queue.h"
 #include "src/serve/serving_engine.h"
 #include "src/serve/serving_metrics.h"
@@ -23,6 +23,7 @@ namespace heterollm::serve {
 namespace {
 
 using model::ExecutionMode;
+using model::KvBlockPool;
 using model::KvCache;
 using model::ModelConfig;
 using model::ModelWeights;
