@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -97,6 +98,72 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ScheduleEquivalenceTest,
                            }
                            return name;
                          });
+
+// Numerics reference: the graph interpreter running the unoptimized model
+// graph (prefill, then two decodes). Replay runs the same kernels on the
+// same operands, so every engine whose matmuls stay FLOAT agrees exactly —
+// with or without the fused-QKV pass, at any kernel thread count.
+class ReplayNumericsTest
+    : public ::testing::TestWithParam<std::tuple<const char*, bool, int>> {};
+
+TEST_P(ReplayNumericsTest, ReplayMatchesInterpreterExactly) {
+  const auto [engine_name, fuse_qkv, threads] = GetParam();
+  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelWeights weights =
+      ModelWeights::Create(cfg, ExecutionMode::kCompute, 99);
+
+  // Misaligned prompt length exercises padding / pipe / seq-cut plans.
+  Rng rng(123);
+  const std::vector<Tensor> inputs = {
+      Tensor::Random(Shape({37, cfg.hidden}), rng, 0.1f),
+      Tensor::Random(Shape({1, cfg.hidden}), rng, 0.1f),
+      Tensor::Random(Shape({1, cfg.hidden}), rng, 0.1f)};
+
+  graph::Graph g = graph::BuildModelGraph(cfg);
+  ASSERT_TRUE(graph::InferShapes(&g, cfg, 37).ok());
+  graph::GraphInterpreter interp(&weights);
+
+  Platform platform(PlatformOptionsFor(engine_name));
+  EngineOptions opts;
+  opts.fuse_qkv = fuse_qkv;
+  opts.kernel_threads = threads;
+  auto engine = CreateEngine(engine_name, &platform, &weights, opts);
+
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    auto ref = interp.Run(g, inputs[i]);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    // Outputs: [final hidden states, logits of every row]; the engine keeps
+    // the last row's logits.
+    const Tensor& ref_logits = (*ref)[1];
+    const int64_t rows = ref_logits.shape().rows();
+    const PhaseStats stats = i == 0 ? engine->Prefill(inputs[i])
+                                    : engine->DecodeStep(inputs[i]);
+    EXPECT_EQ(Tensor::MaxAbsDiff(stats.hidden, (*ref)[0]), 0.0f)
+        << engine_name << " step " << i;
+    EXPECT_EQ(Tensor::MaxAbsDiff(stats.logits,
+                                 ref_logits.SliceRows(rows - 1, rows)),
+              0.0f)
+        << engine_name << " step " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FloatEngines, ReplayNumericsTest,
+    ::testing::Combine(::testing::Values("llama.cpp", "MLC", "MNN-OpenCL",
+                                         "PPL-OpenCL", "Hetero-layer",
+                                         "Hetero-tensor", "Online-prepare",
+                                         "Padding", "Pipe", "Chunked"),
+                       ::testing::Bool(), ::testing::Values(1, 2)),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param);
+      for (char& c : name) {
+        if (!isalnum(static_cast<unsigned char>(c))) {
+          c = '_';
+        }
+      }
+      return name + (std::get<1>(info.param) ? "_fused_qkv" : "") +
+             "_threads" + std::to_string(std::get<2>(info.param));
+    });
 
 // The serving path (continuous-batching decode) replays a serving-mode
 // schedule; its timing must match the legacy loop too.
