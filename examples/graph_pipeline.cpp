@@ -70,7 +70,7 @@ int main() {
   const float diff =
       tensor::Tensor::MaxAbsDiff((*base_out)[1], (*fused_out)[1]);
   std::printf("fusion numerics check (max |logit diff|): %g — %s\n", diff,
-              diff < 1e-4f ? "PASS" : "FAIL");
+              diff == 0.0f ? "PASS" : "FAIL");
 
   // 5. Graphviz export of one layer for documentation.
   std::printf("\nGraphviz snippet (pipe the full output of Graph::ToDot() "

@@ -274,20 +274,6 @@ hal::Precision EngineBase::MatmulPrecision(Phase phase) const {  // NOLINT
                                  : hal::Precision::kFp16;
 }
 
-EngineBase::Value EngineBase::ExecuteMatmul(MatmulSite site, Value& input,
-                                            const QuantizedTensor& w,
-                                            Phase phase) {
-  MatmulShape shape;
-  shape.m = input.tensor.shape().rows();
-  shape.n = w.shape().rows();
-  shape.k = w.shape().cols();
-  shape.precision = hal::Precision::kFp16;
-  MatmulPlan plan = PlanMatmul(site, shape, phase);
-  const int64_t op_id =
-      GraphOpId(site == MatmulSite::kLmHead ? 0 : current_layer_, site);
-  return ExecuteMatmulPlanned(site, op_id, plan, input, {&w}, phase);
-}
-
 EngineBase::Value EngineBase::ExecuteMatmulPlanned(
     MatmulSite site, int64_t op_id, const MatmulPlan& plan, Value& input,
     const std::vector<const QuantizedTensor*>& parts, Phase phase,
@@ -575,34 +561,6 @@ EngineBase::Value EngineBase::AttendLayer(const StepBatch& batch, int layer,
   return out;
 }
 
-EngineBase::Value EngineBase::RunLayer(const StepBatch& batch, int layer,
-                                       Value hidden) {
-  current_layer_ = layer;
-  const Phase phase = batch.phase;
-  const model::LayerWeights& lw = weights_->layer(layer);
-  // In a multi-slot batch the sessions sit at different positions; slot 0's
-  // offset prices the RoPE kernel (cost is position-independent) while
-  // appends/attention use each slot's own cache.
-  const int64_t past = batch.caches[0]->length();
-
-  Value normed = RmsNorm(hidden, lw.attn_norm);
-  Value q = ExecuteMatmul(MatmulSite::kQ, normed, lw.wq, phase);
-  Value k = ExecuteMatmul(MatmulSite::kK, normed, lw.wk, phase);
-  Value v = ExecuteMatmul(MatmulSite::kV, normed, lw.wv, phase);
-  Value q_rot = Rope(q, past);
-  Value k_rot = Rope(k, past);
-  Value attn = AttendLayer(batch, layer, q_rot, k_rot, v);
-
-  Value o = ExecuteMatmul(MatmulSite::kO, attn, lw.wo, phase);
-  Value h1 = Add(hidden, o);
-  Value n2 = RmsNorm(h1, lw.ffn_norm);
-  Value gate = ExecuteMatmul(MatmulSite::kGate, n2, lw.w_gate, phase);
-  Value up = ExecuteMatmul(MatmulSite::kUp, n2, lw.w_up, phase);
-  Value act = SwiGlu(gate, up);
-  Value down = ExecuteMatmul(MatmulSite::kDown, act, lw.w_down, phase);
-  return Add(h1, down);
-}
-
 PhaseStats EngineBase::RunStack(const StepBatch& batch) {
   // Pin the compute-kernel thread count for everything this step runs
   // (matmuls, norms, attention). Numerics are bit-exact across settings;
@@ -619,12 +577,8 @@ PhaseStats EngineBase::RunStack(const StepBatch& batch) {
   for (model::KvCache* cache : batch.caches) {
     cache->BeginStep(per_slot);
   }
-  PhaseStats stats =
-      options_.use_compiled_schedule
-          ? ScheduleExecutor(this).Run(
-                ScheduleFor(batch.phase, rows, KeepsAllRowLogits(batch)),
-                batch)
-          : RunStackLegacy(batch);
+  PhaseStats stats = ScheduleExecutor(this).Run(
+      ScheduleFor(batch.phase, rows, KeepsAllRowLogits(batch)), batch);
   for (model::KvCache* cache : batch.caches) {
     cache->CommitStep();
   }
@@ -645,8 +599,9 @@ graph::CompiledSchedule& EngineBase::ScheduleFor(Phase phase, int64_t rows,
   graph::Graph g = graph::BuildModelGraph(cfg);
   Status shaped = graph::InferShapes(&g, cfg, rows);
   HCHECK_MSG(shaped.ok(), shaped.message().c_str());
-  // FuseSiluMul always applies — the legacy loop's SwiGlu kernel is the
-  // fused form. FuseQkv changes kernel granularity, so it is opt-in.
+  // FuseSiluMul always applies: the engine runs SwiGLU as one fused kernel
+  // (CompileSchedule rejects a live SiLU/Mul). FuseQkv changes kernel
+  // granularity, so it is opt-in.
   g = graph::FuseSiluMul(g).graph;
   if (options_.fuse_qkv) {
     g = graph::FuseQkv(g).graph;
@@ -724,38 +679,6 @@ void EngineBase::RefreshDeviceState() {
   OnDeviceStateChange(changed);
   ++replan_events_;
   host_now_ += options_.replan_cost_us;
-}
-
-PhaseStats EngineBase::RunStackLegacy(const StepBatch& batch) {
-  const MicroSeconds start = host_now_;
-  graph_gen_accum_ = 0;
-
-  Value hidden;
-  hidden.tensor = batch.input;
-  for (int layer = 0; layer < weights_->config().num_layers; ++layer) {
-    hidden = RunLayer(batch, layer, std::move(hidden));
-  }
-  Value final_norm = RmsNorm(hidden, weights_->final_norm());
-
-  // LM head over the last position only, unless the batch keeps every row.
-  const int64_t rows = final_norm.tensor.shape().rows();
-  Value last;
-  last.tensor = KeepsAllRowLogits(batch)
-                    ? final_norm.tensor
-                    : final_norm.tensor.SliceRows(rows - 1, rows);
-  last.deps = final_norm.deps;
-  Value logits = ExecuteMatmul(MatmulSite::kLmHead, last, weights_->lm_head(),
-                               batch.phase);
-  EnsureHost(logits);
-  EnsureHost(final_norm);
-
-  PhaseStats stats;
-  stats.latency = host_now_ - start;
-  stats.graph_gen_time = graph_gen_accum_;
-  stats.tokens = static_cast<int>(rows);
-  stats.hidden = std::move(final_norm.tensor);
-  stats.logits = std::move(logits.tensor);
-  return stats;
 }
 
 GenerationStats EngineBase::Generate(int prompt_len, int decode_len) {

@@ -101,11 +101,6 @@ struct EngineOptions {
   // matmul throughput (the sustained rate is thermally limited anyway) at
   // markedly better perf/W, and headroom left for rendering (§5.5, §5.6).
   double gpu_power_scale = 1.0;
-  // Execute through the graph IR: build + optimize + place the decoder
-  // graph, compile it into a CompiledSchedule (once per phase/rows/batch)
-  // and replay it. Off = the legacy hand-coded loop (kept for equivalence
-  // tests); both paths produce identical numerics and timing.
-  bool use_compiled_schedule = true;
   // Run the FuseQkv pass before placement: one fused QKV matmul per layer
   // (one NPU graph + submission instead of three). Changes the executed
   // kernel sequence, hence simulated latencies, so it is opt-in.
@@ -151,8 +146,8 @@ struct StepBatch {
 };
 
 // EngineBase doubles as the graph placement policy (graph::PlacementPolicy):
-// the same PlanMatmul/vector_backend virtuals that drive the legacy loop
-// drive the placement pass, so concrete engines stay pure policy.
+// its PlanMatmul/vector_backend virtuals drive the placement pass whose
+// compiled schedule every step replays, so concrete engines stay pure policy.
 class EngineBase : public graph::PlacementPolicy {
  public:
   EngineBase(Platform* platform, const model::ModelWeights* weights,
@@ -265,11 +260,6 @@ class EngineBase : public graph::PlacementPolicy {
   Value SubmitKernel(hal::Device& dev, sim::KernelDesc desc,
                      std::initializer_list<Value*> inputs, tensor::Tensor out);
 
-  // Executes one (possibly partitioned) matmul site: plans via PlanMatmul,
-  // then dispatches to ExecuteMatmulPlanned.
-  Value ExecuteMatmul(MatmulSite site, Value& input,
-                      const tensor::QuantizedTensor& w, Phase phase);
-
   // Executes one matmul site under an already-resolved plan (the compiled
   // schedule replays through this, skipping planning entirely). `parts` is
   // the weight — one tensor, or the column-concatenated members of a fused
@@ -281,7 +271,7 @@ class EngineBase : public graph::PlacementPolicy {
   Value ExecuteMatmulPlanned(
       MatmulSite site, int64_t op_id, const MatmulPlan& plan, Value& input,
       const std::vector<const tensor::QuantizedTensor*>& parts, Phase phase,
-      bool graphs_confirmed = false);
+      bool graphs_confirmed);
 
   // Vector ops on vector_backend().
   Value RmsNorm(Value& x, const tensor::Tensor& gamma);
@@ -289,22 +279,17 @@ class EngineBase : public graph::PlacementPolicy {
   Value SwiGlu(Value& gate, Value& up);
   Value Rope(Value& x, int64_t pos_offset);
 
-  // One layer's KV step and attention, shared by schedule replay and the
-  // legacy loop: appends each slot's rows of `k`/`v` to its cache, makes
-  // them visible to the vector backend, then runs one attention kernel per
-  // slot — each slot reads its own cache length, so the cost tracks every
-  // session's true history (the part of a batched step that does NOT
-  // amortize). A single slot computes real numerics; a multi-slot batch is
-  // shape-only.
+  // One layer's KV step and attention: appends each slot's rows of `k`/`v`
+  // to its cache, makes them visible to the vector backend, then runs one
+  // attention kernel per slot — each slot reads its own cache length, so the
+  // cost tracks every session's true history (the part of a batched step
+  // that does NOT amortize). A single slot computes real numerics; a
+  // multi-slot batch is shape-only.
   Value AttendLayer(const StepBatch& batch, int layer, Value& q, Value& k,
                     Value& v);
 
-  // Runs one full decoder layer (legacy hand-coded path).
-  Value RunLayer(const StepBatch& batch, int layer, Value hidden);
-
-  // Runs the whole stack on a validated batch whose caches are resolved:
-  // compiled-schedule replay by default, the legacy hand-coded loop when
-  // `use_compiled_schedule` is off.
+  // Runs the whole stack on a validated batch whose caches are resolved, by
+  // replaying the compiled schedule for its (phase, rows, serving) bucket.
   PhaseStats RunStack(const StepBatch& batch);
 
   // The cached compiled schedule for (phase, rows, serving), where serving
@@ -335,8 +320,6 @@ class EngineBase : public graph::PlacementPolicy {
   std::unordered_set<int64_t> synced_kernels_;
   // Workspace slots acquired once per session (pool reuse across layers).
   std::vector<int> workspace_slots_;
-  // Layer currently executing (for per-op-instance graph keys).
-  int current_layer_ = 0;
 
  private:
   friend class ScheduleExecutor;  // replays schedules via the machinery above
@@ -348,7 +331,6 @@ class EngineBase : public graph::PlacementPolicy {
   // True when the schedule submits kernels on any backend in `changed`.
   bool ScheduleUsesBackend(const graph::CompiledSchedule& sched,
                            const std::vector<hal::Backend>& changed) const;
-  PhaseStats RunStackLegacy(const StepBatch& batch);
   // Numerics of the output-feature range [k_begin, k_end) of the logical
   // matmul against the column-concatenation of `parts`.
   tensor::Tensor MatmulNumeric(

@@ -79,11 +79,7 @@ PhaseStats ScheduleExecutor::Run(graph::CompiledSchedule& sched,
 
   for (const ScheduleStep& step : sched.steps) {
     switch (step.kind) {
-      case StepKind::kBeginLayer:
-        e.current_layer_ = step.layer;
-        break;
       case StepKind::kMatmul: {
-        e.current_layer_ = step.layer;
         std::vector<const QuantizedTensor*> parts;
         parts.reserve(step.weight_refs.size());
         for (int64_t ref : step.weight_refs) {
@@ -103,11 +99,6 @@ PhaseStats ScheduleExecutor::Run(graph::CompiledSchedule& sched,
       case StepKind::kAttention:
         slots[step.out] = e.AttendLayer(batch, step.layer, slots[step.a],
                                         slots[step.b], slots[step.c]);
-        break;
-      case StepKind::kSilu:
-      case StepKind::kMul:
-        HCHECK_MSG(false, "unfused SiLU/Mul step: ScheduleFor always fuses "
-                          "them into SwiGlu");
         break;
       case StepKind::kAdd:
         slots[step.out] = e.Add(slots[step.a], slots[step.b]);

@@ -3,10 +3,10 @@
 // The executor is the mechanism half of the compile-and-replay split: the
 // schedule already names every kernel, partition plan and static NPU graph,
 // so replay is a flat walk over the steps through the engine's own
-// SubmitKernel / EnsureVisible / EnsureHost machinery — the numerics
-// (kCompute) and the timing match the hand-coded loop it replaced. Session
-// state the schedule cannot bake in (KV-cache lengths, per-slot serving
-// caches) is resolved per step at replay time.
+// SubmitKernel / EnsureVisible / EnsureHost machinery. It is the only way an
+// engine runs the decoder stack. Session state the schedule cannot bake in
+// (the committed KV length, per-slot serving caches) is read at replay
+// time.
 
 #ifndef SRC_CORE_SCHEDULE_EXECUTOR_H_
 #define SRC_CORE_SCHEDULE_EXECUTOR_H_
@@ -22,10 +22,9 @@ class ScheduleExecutor {
   }
 
   // Replays `sched` on `batch` (validated, caches resolved); returns the
-  // phase stats the legacy loop would have produced. A replay runs the
-  // NPU-graph checks only when the graph cache has been cleared since
-  // `sched` last ran them; a replay that runs them records the cache's
-  // generation in `sched`.
+  // step's phase stats. A replay runs the NPU-graph checks only when the
+  // graph cache has been cleared since `sched` last ran them; a replay that
+  // runs them records the cache's generation in `sched`.
   PhaseStats Run(graph::CompiledSchedule& sched, const StepBatch& batch);
 
  private:

@@ -2,9 +2,10 @@
 //
 // Executes a graph against materialized model weights with the same CPU
 // reference kernels the engines use. Maintains per-layer KV caches across
-// calls, so prefill-then-decode works like the engines. Used to validate
-// that the optimization passes preserve semantics and that the graph
-// front end agrees with the hand-written engine path.
+// calls, so prefill-then-decode works like the engines. It is the numerics
+// reference for the engines' compiled-schedule replay, which must match it
+// exactly on FLOAT engines, and it checks that the optimization passes
+// preserve semantics.
 
 #ifndef SRC_GRAPH_INTERPRETER_H_
 #define SRC_GRAPH_INTERPRETER_H_

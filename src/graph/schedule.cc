@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "src/common/strings.h"
-#include "src/graph/builder.h"
 
 namespace heterollm::graph {
 
@@ -13,8 +12,6 @@ using core::PartitionKind;
 
 const char* StepKindName(StepKind kind) {
   switch (kind) {
-    case StepKind::kBeginLayer:
-      return "begin_layer";
     case StepKind::kMatmul:
       return "matmul";
     case StepKind::kRmsNorm:
@@ -23,10 +20,6 @@ const char* StepKindName(StepKind kind) {
       return "rope";
     case StepKind::kAttention:
       return "attention";
-    case StepKind::kSilu:
-      return "silu";
-    case StepKind::kMul:
-      return "mul";
     case StepKind::kAdd:
       return "add";
     case StepKind::kSwiGlu:
@@ -139,14 +132,6 @@ StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed) {
           return InvalidArgumentError(StrFormat(
               "rmsnorm %s: gain must be a weight node", n.name.c_str()));
         }
-        // A layer starts at its attention norm: snapshot the KV length the
-        // layer's RoPE/attention offsets replay against.
-        if (WeightRefSite(gamma.attrs.weight_ref) == WeightSite::kAttnNorm) {
-          ScheduleStep begin;
-          begin.kind = StepKind::kBeginLayer;
-          begin.layer = WeightRefLayer(gamma.attrs.weight_ref);
-          sched.steps.push_back(begin);
-        }
         step.kind = StepKind::kRmsNorm;
         step.a = slot(n.inputs[0]);
         step.gamma_ref = gamma.attrs.weight_ref;
@@ -173,7 +158,6 @@ StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed) {
         }
         step.kind = StepKind::kMatmul;
         step.site = p.site;
-        step.layer = p.layer;
         step.op_id = p.op_id;
         step.shape = p.shape;  // LM head already placed at its sliced rows
         step.plan = p.plan;
@@ -201,15 +185,13 @@ StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed) {
         step.layer = n.attrs.layer;
         break;
       case OpType::kSilu:
-        step.kind = StepKind::kSilu;
-        step.a = slot(n.inputs[0]);
-        break;
       case OpType::kMul:
+        return InvalidArgumentError(StrFormat(
+            "%s: unfused SiLU/Mul (run FuseSiluMul first)", n.name.c_str()));
       case OpType::kAdd:
       case OpType::kSwiGlu:
-        step.kind = n.type == OpType::kMul     ? StepKind::kMul
-                    : n.type == OpType::kAdd   ? StepKind::kAdd
-                                               : StepKind::kSwiGlu;
+        step.kind =
+            n.type == OpType::kAdd ? StepKind::kAdd : StepKind::kSwiGlu;
         step.a = slot(n.inputs[0]);
         step.b = slot(n.inputs[1]);
         break;

@@ -9,8 +9,10 @@
 // decode hot path: replaying a step only submits the kernels the plan
 // already names. The executor (`src/core/schedule_executor.h`) replays the
 // steps against the simulated Platform through the engine's own
-// SubmitKernel/EnsureVisible machinery, which keeps both the numerics
-// (kCompute) and the timing identical to the hand-coded loop it replaces.
+// SubmitKernel/EnsureVisible machinery; replay is the only way an engine
+// runs the decoder stack. Its numerics are checked exactly against
+// `GraphInterpreter` and its timing against golden per-kernel timeline
+// digests.
 
 #ifndef SRC_GRAPH_SCHEDULE_H_
 #define SRC_GRAPH_SCHEDULE_H_
@@ -25,15 +27,10 @@
 namespace heterollm::graph {
 
 enum class StepKind {
-  // Captures the session's KV length before the layer's cache appends; the
-  // layer's RoPE/attention position offsets replay against this snapshot.
-  kBeginLayer,
   kMatmul,     // one (possibly partitioned) matmul site
   kRmsNorm,
   kRope,
   kAttention,  // KV append(s) + cross-device sync + attention kernel(s)
-  kSilu,
-  kMul,
   kAdd,
   kSwiGlu,
   // Zero-cost column view of a fused matmul result (the slices address
@@ -47,12 +44,12 @@ enum class StepKind {
 const char* StepKindName(StepKind kind);
 
 struct ScheduleStep {
-  StepKind kind = StepKind::kBeginLayer;
+  StepKind kind = StepKind::kMatmul;
   int out = -1;  // destination value slot
   int a = -1;    // input value slots (b/c where the op needs them)
   int b = -1;
   int c = -1;
-  int layer = 0;            // kBeginLayer / kAttention / kMatmul
+  int layer = 0;            // kAttention
   int64_t begin = 0;        // kSliceCols / kLastRows row- or col-range
   int64_t end = 0;
   int64_t gamma_ref = -1;   // kRmsNorm: gain weight reference
@@ -92,7 +89,8 @@ struct CompiledSchedule {
 // Compiles `placed` into a replayable schedule (serving mode is taken from
 // the placed graph). The placed graph must follow the decoder conventions
 // the builder emits: weights referenced by `weight_ref`, outputs
-// [hidden, logits].
+// [hidden, logits]. SiLU and Mul must already be fused into SwiGLU
+// (FuseSiluMul); a live unfused node is an InvalidArgumentError.
 StatusOr<CompiledSchedule> CompileSchedule(const PlacedGraph& placed);
 
 }  // namespace heterollm::graph

@@ -94,14 +94,13 @@ std::vector<DigestCase> Cases() {
   return cases;
 }
 
-Digest RunCase(const DigestCase& c, bool legacy = false) {
+Digest RunCase(const DigestCase& c) {
   const ModelConfig& cfg = c.model;
   const ModelWeights weights =
       ModelWeights::Create(cfg, ExecutionMode::kSimulate);
   Platform platform(PlatformOptionsFor(c.engine));
   EngineOptions opts;
   opts.fuse_qkv = c.fuse_qkv;
-  opts.use_compiled_schedule = !legacy;
   auto engine = CreateEngine(c.engine, &platform, &weights, opts);
   auto rows = [&](int64_t n) {
     return Tensor::Deferred(Shape({n, cfg.hidden}), tensor::DType::kFp16);
@@ -205,21 +204,6 @@ TEST(TimelineDigestTest, MatchesGoldenTable) {
     }
     table += "};\n";
     std::printf("Regenerated golden table:\n%s", table.c_str());
-  }
-}
-
-// The digests above were captured where the legacy hand-coded loop and
-// compiled-schedule replay agree record for record (the legacy loop has no
-// fused-QKV path, so the fused cases have no legacy counterpart).
-TEST(TimelineDigestTest, LegacyLoopProducesTheSameTimeline) {
-  for (const DigestCase& c : Cases()) {
-    if (c.fuse_qkv) {
-      continue;
-    }
-    const Digest replay = RunCase(c);
-    const Digest legacy = RunCase(c, /*legacy=*/true);
-    EXPECT_EQ(replay.kernels, legacy.kernels) << c.name;
-    EXPECT_EQ(replay.hash, legacy.hash) << c.name;
   }
 }
 

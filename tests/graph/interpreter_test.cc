@@ -1,6 +1,7 @@
-// The graph front end must agree with the hand-written engine path: the
-// interpreter running the built model graph produces the same numbers as
-// the engines (which all match the Reference in engine_numerics_test).
+// The graph front end must agree exactly with the engines: the interpreter
+// running the built model graph produces bit-identical numbers to the
+// engines' compiled-schedule replay (which all match the Reference in
+// engine_numerics_test), and the optimization passes change no number.
 
 #include "src/graph/interpreter.h"
 
@@ -45,12 +46,12 @@ TEST_F(InterpreterTest, MatchesEnginePrefill) {
 
   // Output 0: final hidden states. Output 1: logits (the graph computes
   // them for every row; the engine keeps only the last row).
-  EXPECT_LT(Tensor::MaxAbsDiff((*graph_out)[0], engine_out.hidden), 1e-4f);
+  EXPECT_EQ(Tensor::MaxAbsDiff((*graph_out)[0], engine_out.hidden), 0.0f);
   const Tensor& logits_all = (*graph_out)[1];
   Tensor last_logits =
       logits_all.SliceRows(logits_all.shape().rows() - 1,
                            logits_all.shape().rows());
-  EXPECT_LT(Tensor::MaxAbsDiff(last_logits, engine_out.logits), 1e-4f);
+  EXPECT_EQ(Tensor::MaxAbsDiff(last_logits, engine_out.logits), 0.0f);
 }
 
 TEST_F(InterpreterTest, AutoregressiveDecodeMatchesEngine) {
@@ -74,7 +75,7 @@ TEST_F(InterpreterTest, AutoregressiveDecodeMatchesEngine) {
   core::PhaseStats engine_step = engine->DecodeStep(token);
 
   Tensor graph_logits = (*step)[1];
-  EXPECT_LT(Tensor::MaxAbsDiff(graph_logits, engine_step.logits), 1e-4f);
+  EXPECT_EQ(Tensor::MaxAbsDiff(graph_logits, engine_step.logits), 0.0f);
 }
 
 TEST_F(InterpreterTest, OptimizedGraphDecodesIdentically) {
@@ -93,7 +94,7 @@ TEST_F(InterpreterTest, OptimizedGraphDecodesIdentically) {
   auto a2 = a.Run(g, token);
   auto b2 = b.Run(opt.graph, token);
   ASSERT_TRUE(a2.ok() && b2.ok());
-  EXPECT_LT(Tensor::MaxAbsDiff((*a2)[1], (*b2)[1]), 1e-4f);
+  EXPECT_EQ(Tensor::MaxAbsDiff((*a2)[1], (*b2)[1]), 0.0f);
   (void)a1;
   (void)b1;
 }

@@ -1,7 +1,7 @@
 // Placement pass + schedule compiler unit tests: site resolution (plain and
 // fused weights), per-node plans, and the structure of the compiled
-// schedule (step counts, layer markers, LM-head row handling, NPU graph
-// references).
+// schedule (step counts, per-layer attention, LM-head row handling, NPU
+// graph references, rejection of unfused SiLU/Mul).
 
 #include <gtest/gtest.h>
 
@@ -144,11 +144,11 @@ TEST(ScheduleTest, CompilesDecoderStructure) {
   EXPECT_GE(s.hidden_slot, 0);
   EXPECT_GE(s.logits_slot, 0);
 
-  int begin_layers = 0;
+  int attention_steps = 0;
   bool saw_last_rows = false;
   for (const ScheduleStep& step : s.steps) {
-    if (step.kind == StepKind::kBeginLayer) {
-      ++begin_layers;
+    if (step.kind == StepKind::kAttention) {
+      ++attention_steps;
     }
     if (step.kind == StepKind::kLastRows) {
       saw_last_rows = true;
@@ -156,9 +156,23 @@ TEST(ScheduleTest, CompilesDecoderStructure) {
       EXPECT_EQ(step.end, 32);
     }
   }
-  EXPECT_EQ(begin_layers, cfg.num_layers);
+  EXPECT_EQ(attention_steps, cfg.num_layers);
   EXPECT_TRUE(saw_last_rows);
   EXPECT_FALSE(s.Summary().empty());
+}
+
+// The engine runs SwiGLU as one fused kernel, so a schedule with live SiLU
+// and Mul nodes is rejected when it is compiled, not when it is replayed.
+TEST(ScheduleTest, RejectsUnfusedSiluMul) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  Graph g = BuildModelGraph(cfg);
+  ASSERT_TRUE(InferShapes(&g, cfg, 32).ok());
+  NpuPolicy policy;
+  auto placed = PlaceGraph(g, Phase::kPrefill, &policy);
+  ASSERT_TRUE(placed.ok()) << placed.status().ToString();
+  auto sched = CompileSchedule(placed.value());
+  ASSERT_FALSE(sched.ok());
+  EXPECT_NE(sched.status().message().find("FuseSiluMul"), std::string::npos);
 }
 
 TEST(ScheduleTest, FusedScheduleEmitsSlicesAndFewerMatmuls) {
