@@ -3,21 +3,20 @@
 //
 // Each `Replica` owns an independent `Platform`, so each has its own
 // discrete-event clock; the cluster makes them one simulation by always
-// advancing the *earliest* pending event next. The event loop interleaves
-// two event sources:
-//
-//   * the arrival trace — at a request's arrival instant it is offered to
-//     the router (admission control + routing policy, cluster_router.h);
-//   * replica rounds — the replica whose local clock is furthest behind
-//     (and has work) runs one scheduling round, advancing its own clock.
-//
-// A replica round runs only when that replica's clock is <= the next
-// arrival, and arrivals are offered in trace order, so no replica ever
-// consumes simulated time that should have seen an arrival or a routing
-// decision first — the interleaving any single-clock simulator would
-// produce. Routing decisions (`DispatchReady`) are refreshed after every
-// event, so load and prefix-affinity estimates are always read at the
-// decision's virtual time.
+// advancing the *earliest* pending event next. One event loop (cluster.cc)
+// runs `Serve`, `ServeTasks` and the one-replica `serve::ServeTasks`
+// (task_graph.h) over a request source: an arrival trace offering one
+// request per event, or a `TaskGraph` release frontier offering one release
+// instant's batch per event and fed the completions drained every round.
+// The replica furthest behind (among those with work) runs one round while
+// its clock is <= the source's next offer time; otherwise that offer goes
+// to the router (admission + routing policy, cluster_router.h). So no
+// replica consumes simulated time that should have seen an offer first,
+// and an offer due exactly at a busy replica's clock joins after that
+// round. `DispatchReady` runs after every event, so routing reads load and
+// prefix estimates at the decision's virtual time. On exit the loop checks
+// that no replica holds work and that it drained exactly offered minus
+// rejected completions.
 //
 // With one replica and an always-admitting router this serves exactly the
 // work `Replica::Serve` would, with one online-vs-oracle timing caveat: the
@@ -56,9 +55,9 @@ class Cluster {
   Cluster(std::vector<std::unique_ptr<Replica>> replicas,
           const ClusterOptions& options);
 
-  // Serves the whole arrival trace (requests in non-decreasing arrival
-  // order) to completion across the fleet and returns the cluster metrics.
-  // Rejected offers (bounded pending queue) are counted, not served.
+  // Serves the whole arrival trace to completion across the fleet and
+  // returns the cluster metrics. Rejected offers (bounded pending queue)
+  // are counted, not served.
   ClusterMetrics Serve(const RequestQueue& queue);
 
   // Serves a task DAG to completion across the fleet. Stages release
@@ -79,6 +78,7 @@ class Cluster {
 
  private:
   std::vector<std::unique_ptr<Replica>> replicas_;
+  std::vector<Replica*> raw_;  // the same replicas, borrowed by the loop
   ClusterOptions options_;
 };
 

@@ -194,14 +194,16 @@ int ClusterRouter::DispatchReady() {
       break;  // head-of-line waits; nothing may overtake it
     }
     replicas_[static_cast<size_t>(pick)]->Submit(head);
-    const std::vector<int32_t> key = StickyKey(head);
-    if (!key.empty()) {
-      sticky_[key] = static_cast<size_t>(pick);
-    }
-    if (head.session_id >= 0) {
-      session_sticky_[head.session_id] = static_cast<size_t>(pick);
-    }
-    if (options_.policy == RoutingPolicy::kRoundRobin) {
+    if (options_.policy == RoutingPolicy::kPrefixAffinity) {
+      // Only PickPrefixAffinity reads the sticky indices.
+      const std::vector<int32_t> key = StickyKey(head);
+      if (!key.empty()) {
+        sticky_[key] = static_cast<size_t>(pick);
+      }
+      if (head.session_id >= 0) {
+        session_sticky_[head.session_id] = static_cast<size_t>(pick);
+      }
+    } else if (options_.policy == RoutingPolicy::kRoundRobin) {
       ++rr_next_;
     }
     pending_.pop_front();

@@ -28,8 +28,8 @@
 //     zero, and the policy degrades to least-loaded instead of pinning
 //     traffic to a replica that would re-prefill from scratch.
 //
-// The router holds no clock and never steps replicas: the `Cluster` driver
-// (cluster.h) interleaves `DispatchReady` with replica rounds on the
+// The router holds no clock and never steps replicas: the serving event
+// loop (cluster.h) interleaves `DispatchReady` with replica rounds on the
 // unified virtual clock.
 
 #ifndef SRC_SERVE_CLUSTER_CLUSTER_ROUTER_H_
@@ -105,8 +105,8 @@ class ClusterRouter {
   std::vector<Replica*> replicas_;
   RouterOptions options_;
   std::deque<Request> pending_;
-  // std::map (not unordered) keeps iteration deterministic, mirroring the
-  // replicas' own tries.
+  // Kept under kPrefixAffinity only. std::map (not unordered) keeps
+  // iteration deterministic, mirroring the replicas' own tries.
   std::map<std::vector<int32_t>, size_t> sticky_;
   // session_id -> replica last dispatched to. Stronger hint than the
   // prompt-chunk index for multi-stage tasks: a session's later prompts

@@ -160,7 +160,7 @@ struct IterationScheduler::Continuous {
   int64_t iter = 0;
   double batch_accum = 0;
   // Completions since the last DrainCompletions(), in completion order —
-  // the signal the task-DAG drivers turn into dependent-stage releases.
+  // the signal the serving loop turns into dependent-stage releases.
   std::vector<CompletionEvent> completions;
 
   bool HasWork() const { return completed < requests.size(); }
@@ -909,12 +909,6 @@ int64_t IterationScheduler::ProbePrefixTokens(
 }
 
 MicroSeconds IterationScheduler::now() const { return engine_->host_now(); }
-
-void IterationScheduler::AdvanceIdleTo(MicroSeconds t) {
-  if (t > engine_->host_now()) {
-    IdleTo(engine_, t);
-  }
-}
 
 void IterationScheduler::RunSerial(const std::vector<Request>& requests,
                                    ServingMetrics* m) {

@@ -153,7 +153,7 @@ struct SchedulerOptions {
 };
 
 // One request finishing inside an incremental window, surfaced through
-// `DrainCompletions` so an outer driver (the task-DAG release loop) can
+// `DrainCompletions` so an outer driver (the serving event loop) can
 // react — release dependent stages — without scraping the window metrics.
 struct CompletionEvent {
   int id = 0;            // Request::id
@@ -203,8 +203,8 @@ class IterationScheduler {
   ServingMetrics EndWindow();
 
   // Requests that completed since the last drain (empty with no open
-  // window), in completion order. The task-DAG drivers poll this after
-  // every round to release dependent stages.
+  // window), in completion order. The serving loop polls this after every
+  // round.
   std::vector<CompletionEvent> DrainCompletions();
 
   bool window_open() const { return cont_ != nullptr; }
@@ -220,9 +220,6 @@ class IterationScheduler {
   int64_t ProbePrefixTokens(const std::vector<int32_t>& prompt) const;
   // The replica-local simulated clock (engine host time).
   MicroSeconds now() const;
-  // Idle-advances the replica to `t` (device cooling and scripted condition
-  // events inside the gap are applied on time). No-op if `t` has passed.
-  void AdvanceIdleTo(MicroSeconds t);
 
   const SchedulerOptions& options() const { return options_; }
   core::EngineBase* engine() const { return engine_; }

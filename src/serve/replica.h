@@ -20,11 +20,13 @@
 //   }
 //   ServingMetrics m = replica->EndWindow();
 //
-// Every outer driver speaks it: the cluster front-end (src/serve/cluster/)
-// interleaves N replicas on one virtual clock through it, and the task-DAG
-// release loop (src/serve/task_graph.h) turns `DrainCompletions` into
-// dependent-stage submissions. `ProbePrefixTokens` and `load` are the
-// read-only signals the router's policies consume between rounds.
+// The serving event loop (src/serve/cluster/) drives replicas through it,
+// interleaving N of them on one virtual clock — for an arrival trace, or
+// for a task DAG (src/serve/task_graph.h) whose drained completions
+// release dependent stages. An idle replica needs no explicit advance: a
+// round with nothing runnable idles it to its next submitted arrival.
+// `ProbePrefixTokens` and `load` are the read-only signals the router's
+// policies consume between rounds.
 //
 // `Serve(queue)` is the batch convenience wrapper over the same rounds —
 // open a window, submit the whole trace, step dry, close — kept because
@@ -96,8 +98,8 @@ class Replica {
   void Submit(const Request& request) { scheduler_->Submit(request); }
   bool StepRound() { return scheduler_->StepRound(); }
   ServingMetrics EndWindow() { return scheduler_->EndWindow(); }
-  // Requests completed since the last drain — the task-DAG drivers poll
-  // this after every round to release dependent stages.
+  // Requests completed since the last drain — the serving loop polls this
+  // after every round.
   std::vector<CompletionEvent> DrainCompletions() {
     return scheduler_->DrainCompletions();
   }
@@ -122,9 +124,6 @@ class Replica {
   }
   // Replica-local simulated clock.
   MicroSeconds now() const { return scheduler_->now(); }
-  // Idle-advance (conditions-aware) — the cluster driver keeps an idle
-  // replica's clock, thermals and scripted events moving with virtual time.
-  void AdvanceIdleTo(MicroSeconds t) { scheduler_->AdvanceIdleTo(t); }
 
   const std::string& name() const { return options_.name; }
   const std::string& device() const { return options_.device; }

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "src/common/status.h"
-#include "src/serve/replica.h"
 
 namespace heterollm::serve {
 namespace {
@@ -145,34 +144,6 @@ std::vector<TaskMetrics> TaskGraph::BuildTaskMetrics(
     out.push_back(std::move(tm));
   }
   return out;
-}
-
-ServingMetrics ServeTasks(Replica& replica, TaskGraph& graph) {
-  HCHECK_MSG(graph.released_stages() == 0,
-             "ServeTasks needs a fresh TaskGraph (nothing released yet)");
-  replica.BeginWindow();
-  while (!graph.AllDone()) {
-    for (const Request& r : graph.TakeReady(replica.now())) {
-      replica.Submit(r);
-    }
-    if (replica.has_work()) {
-      replica.StepRound();
-      for (const CompletionEvent& done : replica.DrainCompletions()) {
-        graph.OnCompleted(done.id, done.time);
-      }
-      continue;
-    }
-    // Replica is dry but the graph is not done: the next stage must be a
-    // future release (a tool-call pause), never an incomplete parent —
-    // nothing in flight could complete it.
-    const MicroSeconds next = graph.NextReleaseTime();
-    HCHECK_MSG(next < std::numeric_limits<MicroSeconds>::max(),
-               "task graph deadlocked: replica dry but no releasable stage");
-    replica.AdvanceIdleTo(next);
-  }
-  ServingMetrics m = replica.EndWindow();
-  m.tasks = graph.BuildTaskMetrics(m.requests);
-  return m;
 }
 
 }  // namespace heterollm::serve

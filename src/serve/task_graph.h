@@ -26,11 +26,14 @@
 // observes completions out of global time order (replica rounds are
 // coarse; see cluster.h). Under a single replica the clamp never engages.
 //
-// Two drivers consume the graph:
-//   * `ServeTasks(replica, graph)` — the single-SoC loop;
-//   * `Cluster::ServeTasks(graph)` — the fleet loop, where the router's
+// Two drivers consume the graph, both thin callers of the one serving
+// event loop (src/serve/cluster/cluster.h), which offers the release
+// frontier one release instant at a time:
+//   * `ServeTasks(replica, graph)` — one replica behind a pass-through
+//     router;
+//   * `Cluster::ServeTasks(graph)` — the fleet, where the router's
 //     prefix-affinity policy keeps a session's stages on the replica
-//     holding its KV (src/serve/cluster/).
+//     holding its KV.
 
 #ifndef SRC_SERVE_TASK_GRAPH_H_
 #define SRC_SERVE_TASK_GRAPH_H_
@@ -114,11 +117,10 @@ class TaskGraph {
   MicroSeconds last_emitted_ = 0;  // monotone-arrival clamp
 };
 
-// Single-replica task driver: opens a window, pumps the release loop
-// (TakeReady -> Submit, StepRound, DrainCompletions -> OnCompleted,
-// idle-advancing to the next release when the replica runs dry), closes
-// the window and attaches the task rollup to the returned metrics. The
-// graph must be fresh (nothing released yet).
+// Single-replica task driver: the cluster event loop on `replica` alone,
+// behind a router sized so it never holds a stage back (defined in
+// cluster.cc). Returns the window's metrics with the task rollup attached.
+// The graph must be fresh (nothing released yet).
 ServingMetrics ServeTasks(Replica& replica, TaskGraph& graph);
 
 }  // namespace heterollm::serve

@@ -9,7 +9,9 @@
 // an in-flight task's later stages admit ahead of fresh roots, cutting the
 // task's end-to-end latency vs FIFO; (4) task metrics are deterministic;
 // (5) Cluster::ServeTasks keeps a session's generate/resume stages on the
-// replica holding its KV via prefix affinity.
+// replica holding its KV via prefix affinity; (6) the one-replica driver is
+// the fleet loop on one replica — byte-identical metrics — and a stage
+// released exactly at a busy replica's clock joins after that round.
 
 #include <cstdint>
 #include <map>
@@ -321,6 +323,82 @@ TEST(ServeTasksTest, TaskMetricsAreDeterministic) {
   const std::string b = run_once();
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+}
+
+// A two-stage chain beside a long-decoding root, both arriving at t=0. The
+// chain's first stage completes at the end of a decode iteration while the
+// root still decodes, so its child is released exactly at the replica's
+// clock while the replica has work: a tie between an offer and a round.
+std::vector<TaskSpec> TieTrace() {
+  TaskSpec chain;
+  chain.task_id = 0;
+  chain.session_id = 0;
+  chain.arrival = 0;
+  chain.stages.push_back(Stage(StageKind::kGenerate, 64, 4));
+  chain.stages.push_back(Stage(StageKind::kResume, 64, 4, {0}));
+  TaskSpec root;
+  root.task_id = 1;
+  root.session_id = 1;
+  root.arrival = 0;
+  root.stages.push_back(Stage(StageKind::kGenerate, 64, 32));
+  return {chain, root};
+}
+
+TEST(ServeTasksTest, StageReleasedAtBusyReplicaClockJoinsAfterTheRound) {
+  const ModelConfig cfg = ModelConfig::InternLM1_8B();
+  ModelWeights weights = ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  std::unique_ptr<Replica> replica = MakeReplica(weights, BaseOptions("r0"));
+  TaskGraph graph(TieTrace());
+  const ServingMetrics m = ServeTasks(*replica, graph);
+
+  ASSERT_EQ(m.tasks.size(), 2u);
+  const StageMetrics& parent = m.tasks[0].stages[0];
+  const StageMetrics& child = m.tasks[0].stages[1];
+  // The tie: the child released the instant its parent completed, while
+  // the root was still decoding on the same replica.
+  ASSERT_EQ(child.released, parent.completion);
+  ASSERT_GT(m.tasks[1].completion, child.released);
+  // The round due at the tie ran before the child was offered, so the
+  // child admits at a later round boundary, not at its release instant.
+  EXPECT_GT(child.admitted, child.released);
+}
+
+TEST(ServeTasksTest, OneReplicaMatchesClusterServeTasks) {
+  const ModelConfig cfg = ModelConfig::InternLM1_8B();
+  ModelWeights weights = ModelWeights::Create(cfg, ExecutionMode::kSimulate);
+  // Default agentic shapes; one stage of this trace is released exactly at
+  // the replica's clock while it has work.
+  const auto trace = [] {
+    Rng rng(8);
+    workload::AgenticTraceOptions topts;
+    topts.tasks = 4;
+    return workload::SyntheticAgenticTrace(rng, topts);
+  };
+  ReplicaOptions ropts = BaseOptions("r0");
+  ropts.scheduler.max_decode_batch = 8;
+  ropts.scheduler.enable_prefix_cache = true;
+  ropts.scheduler.admission = AdmissionPolicy::kPriority;
+
+  std::unique_ptr<Replica> replica = MakeReplica(weights, ropts);
+  TaskGraph direct_graph(trace());
+  const ServingMetrics direct = ServeTasks(*replica, direct_graph);
+
+  // A one-replica fleet whose router bounds cannot bite.
+  std::vector<std::unique_ptr<Replica>> replicas;
+  replicas.push_back(MakeReplica(weights, ropts));
+  TaskGraph fleet_graph(trace());
+  ClusterOptions copts;
+  copts.router.max_pending = fleet_graph.total_stages();
+  copts.router.max_replica_queue = fleet_graph.total_stages();
+  Cluster cluster(std::move(replicas), copts);
+  ClusterMetrics out = cluster.ServeTasks(fleet_graph);
+  ASSERT_EQ(out.replicas.size(), 1u);
+  ServingMetrics fleet = std::move(out.replicas[0].metrics);
+  fleet.tasks = out.tasks;
+
+  // The JSON carries every request row and the per-task stage rows.
+  ASSERT_EQ(direct.tasks.size(), 4u);
+  EXPECT_EQ(direct.ToJson(), fleet.ToJson());
 }
 
 // ---------------------------------------------------------------------------
