@@ -459,53 +459,40 @@ EngineBase::Value EngineBase::ExecuteMatmulPlanned(
   __builtin_unreachable();
 }
 
-EngineBase::Value EngineBase::RmsNorm(Value& x, const Tensor& gamma) {
+EngineBase::Value EngineBase::VectorOp(sim::LabelId label,
+                                       double flops_per_elem,
+                                       double bytes_per_elem,
+                                       std::initializer_list<Value*> inputs,
+                                       Tensor out) {
   hal::Device& dev = platform_->device(vector_backend());
   hal::ElementwiseSpec spec;
-  spec.elems = x.tensor.numel();
-  spec.flops_per_elem = 4.0;
-  spec.bytes_per_elem = 4.0;
+  spec.elems = (*inputs.begin())->tensor.numel();
+  spec.flops_per_elem = flops_per_elem;
+  spec.bytes_per_elem = bytes_per_elem;
   sim::KernelDesc desc = dev.CostElementwise(spec);
-  desc.label = rmsnorm_label_;
-  Tensor out = tensor::ops::RmsNorm(x.tensor, gamma);
-  return SubmitKernel(dev, desc, {&x}, std::move(out));
+  desc.label = label;
+  return SubmitKernel(dev, desc, inputs, std::move(out));
+}
+
+EngineBase::Value EngineBase::RmsNorm(Value& x, const Tensor& gamma) {
+  return VectorOp(rmsnorm_label_, 4.0, 4.0, {&x},
+                  tensor::ops::RmsNorm(x.tensor, gamma));
 }
 
 EngineBase::Value EngineBase::Add(Value& a, Value& b) {
-  hal::Device& dev = platform_->device(vector_backend());
-  hal::ElementwiseSpec spec;
-  spec.elems = a.tensor.numel();
-  spec.flops_per_elem = 1.0;
-  spec.bytes_per_elem = 6.0;
-  sim::KernelDesc desc = dev.CostElementwise(spec);
-  desc.label = residual_label_;
-  Tensor out = tensor::ops::Add(a.tensor, b.tensor);
-  return SubmitKernel(dev, desc, {&a, &b}, std::move(out));
+  return VectorOp(residual_label_, 1.0, 6.0, {&a, &b},
+                  tensor::ops::Add(a.tensor, b.tensor));
 }
 
 EngineBase::Value EngineBase::SwiGlu(Value& gate, Value& up) {
-  hal::Device& dev = platform_->device(vector_backend());
-  hal::ElementwiseSpec spec;
-  spec.elems = gate.tensor.numel();
-  spec.flops_per_elem = 6.0;
-  spec.bytes_per_elem = 6.0;
-  sim::KernelDesc desc = dev.CostElementwise(spec);
-  desc.label = swiglu_label_;
-  Tensor out = tensor::ops::SwiGlu(gate.tensor, up.tensor);
-  return SubmitKernel(dev, desc, {&gate, &up}, std::move(out));
+  return VectorOp(swiglu_label_, 6.0, 6.0, {&gate, &up},
+                  tensor::ops::SwiGlu(gate.tensor, up.tensor));
 }
 
 EngineBase::Value EngineBase::Rope(Value& x, int64_t pos_offset) {
-  hal::Device& dev = platform_->device(vector_backend());
-  hal::ElementwiseSpec spec;
-  spec.elems = x.tensor.numel();
-  spec.flops_per_elem = 6.0;
-  spec.bytes_per_elem = 4.0;
-  sim::KernelDesc desc = dev.CostElementwise(spec);
-  desc.label = rope_label_;
   Tensor out = x.tensor;
   tensor::ops::ApplyRope(out, pos_offset, weights_->config().head_dim);
-  return SubmitKernel(dev, desc, {&x}, std::move(out));
+  return VectorOp(rope_label_, 6.0, 4.0, {&x}, std::move(out));
 }
 
 EngineBase::Value EngineBase::AttendLayer(const StepBatch& batch, int layer,
@@ -533,7 +520,7 @@ EngineBase::Value EngineBase::AttendLayer(const StepBatch& batch, int layer,
   for (model::KvCache* cache : batch.caches) {
     // Causal: query row i of the slot attends to kv_len - per + i + 1
     // positions; charge the average span rather than the full rectangle.
-    const int64_t kv_len = cache->K(layer).shape().rows();
+    const int64_t kv_len = cache->visible_rows(layer);
     hal::AttentionSpec spec;
     spec.m = per;
     spec.t = kv_len - per + (per + 1) / 2;
@@ -551,8 +538,7 @@ EngineBase::Value EngineBase::AttendLayer(const StepBatch& batch, int layer,
     const model::KvCache& cache = *batch.caches[0];
     const tensor::AttentionParams params{cfg.num_heads, cfg.num_kv_heads,
                                          cfg.head_dim, cache.length()};
-    out.tensor = tensor::GqaAttention(q.tensor, cache.K(layer),
-                                      cache.V(layer), params);
+    out.tensor = tensor::GqaAttention(q.tensor, cache.View(layer), params);
   } else {
     out.tensor = Tensor::Deferred(
         Shape({static_cast<int64_t>(slots) * per, cfg.q_dim()}),

@@ -273,7 +273,11 @@ class EngineBase : public graph::PlacementPolicy {
       const std::vector<const tensor::QuantizedTensor*>& parts, Phase phase,
       bool graphs_confirmed);
 
-  // Vector ops on vector_backend().
+  // Vector ops on vector_backend(). VectorOp submits one elementwise kernel
+  // over the first input's elements with the given per-element costs.
+  Value VectorOp(sim::LabelId label, double flops_per_elem,
+                 double bytes_per_elem, std::initializer_list<Value*> inputs,
+                 tensor::Tensor out);
   Value RmsNorm(Value& x, const tensor::Tensor& gamma);
   Value Add(Value& a, Value& b);
   Value SwiGlu(Value& gate, Value& up);

@@ -9,54 +9,8 @@ namespace heterollm::core {
 
 using graph::ScheduleStep;
 using graph::StepKind;
-using graph::WeightRefLayer;
-using graph::WeightRefSite;
-using graph::WeightSite;
 using tensor::QuantizedTensor;
 using tensor::Tensor;
-
-const QuantizedTensor& ScheduleExecutor::Weight(int64_t ref) const {
-  const WeightSite site = WeightRefSite(ref);
-  if (site == WeightSite::kLmHead) {
-    return e_->weights_->lm_head();
-  }
-  const model::LayerWeights& lw = e_->weights_->layer(WeightRefLayer(ref));
-  switch (site) {
-    case WeightSite::kWq:
-      return lw.wq;
-    case WeightSite::kWk:
-      return lw.wk;
-    case WeightSite::kWv:
-      return lw.wv;
-    case WeightSite::kWo:
-      return lw.wo;
-    case WeightSite::kWGate:
-      return lw.w_gate;
-    case WeightSite::kWUp:
-      return lw.w_up;
-    case WeightSite::kWDown:
-      return lw.w_down;
-    default:
-      break;
-  }
-  HCHECK_MSG(false, "weight ref is not a matmul parameter");
-  __builtin_unreachable();
-}
-
-const Tensor& ScheduleExecutor::Gamma(int64_t ref) const {
-  switch (WeightRefSite(ref)) {
-    case WeightSite::kAttnNorm:
-      return e_->weights_->layer(WeightRefLayer(ref)).attn_norm;
-    case WeightSite::kFfnNorm:
-      return e_->weights_->layer(WeightRefLayer(ref)).ffn_norm;
-    case WeightSite::kFinalNorm:
-      return e_->weights_->final_norm();
-    default:
-      break;
-  }
-  HCHECK_MSG(false, "weight ref is not a norm gain");
-  __builtin_unreachable();
-}
 
 PhaseStats ScheduleExecutor::Run(graph::CompiledSchedule& sched,
                                  const StepBatch& batch) {
@@ -83,7 +37,7 @@ PhaseStats ScheduleExecutor::Run(graph::CompiledSchedule& sched,
         std::vector<const QuantizedTensor*> parts;
         parts.reserve(step.weight_refs.size());
         for (int64_t ref : step.weight_refs) {
-          parts.push_back(&Weight(ref));
+          parts.push_back(&graph::MatmulWeight(*e.weights_, ref));
         }
         slots[step.out] = e.ExecuteMatmulPlanned(
             step.site, step.op_id, step.plan, slots[step.a], parts,
@@ -91,7 +45,8 @@ PhaseStats ScheduleExecutor::Run(graph::CompiledSchedule& sched,
         break;
       }
       case StepKind::kRmsNorm:
-        slots[step.out] = e.RmsNorm(slots[step.a], Gamma(step.gamma_ref));
+        slots[step.out] = e.RmsNorm(
+            slots[step.a], graph::NormGain(*e.weights_, step.gamma_ref));
         break;
       case StepKind::kRope:
         slots[step.out] = e.Rope(slots[step.a], past);

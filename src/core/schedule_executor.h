@@ -30,11 +30,6 @@ class ScheduleExecutor {
  private:
   using Value = EngineBase::Value;
 
-  // Resolves a matmul weight reference to the engine's parameter tensor.
-  const tensor::QuantizedTensor& Weight(int64_t ref) const;
-  // Resolves an RmsNorm gain reference.
-  const tensor::Tensor& Gamma(int64_t ref) const;
-
   EngineBase* e_;
 };
 

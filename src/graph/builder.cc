@@ -1,5 +1,7 @@
 #include "src/graph/builder.h"
 
+#include <iterator>
+
 #include "src/common/strings.h"
 
 namespace heterollm::graph {
@@ -40,6 +42,46 @@ Shape WeightShape(const ModelConfig& cfg, int64_t ref) {
       return Shape({cfg.hidden, cfg.vocab});
   }
   HCHECK_MSG(false, "unknown weight site");
+  __builtin_unreachable();
+}
+
+bool IsNormGain(int64_t ref) {
+  const WeightSite site = WeightRefSite(ref);
+  return site == WeightSite::kAttnNorm || site == WeightSite::kFfnNorm ||
+         site == WeightSite::kFinalNorm;
+}
+
+const tensor::QuantizedTensor& MatmulWeight(const model::ModelWeights& weights,
+                                            int64_t ref) {
+  using model::LayerWeights;
+  // Indexed by WeightSite: the per-layer matmul weights come first.
+  static constexpr tensor::QuantizedTensor LayerWeights::*kLayerWeights[] = {
+      &LayerWeights::wq,     &LayerWeights::wk,   &LayerWeights::wv,
+      &LayerWeights::wo,     &LayerWeights::w_gate,
+      &LayerWeights::w_up,   &LayerWeights::w_down};
+  const WeightSite site = WeightRefSite(ref);
+  if (site == WeightSite::kLmHead) {
+    return weights.lm_head();
+  }
+  const auto i = static_cast<size_t>(site);
+  HCHECK_MSG(i < std::size(kLayerWeights),
+             "weight ref is not a matmul parameter");
+  return weights.layer(WeightRefLayer(ref)).*kLayerWeights[i];
+}
+
+const tensor::Tensor& NormGain(const model::ModelWeights& weights,
+                               int64_t ref) {
+  switch (WeightRefSite(ref)) {
+    case WeightSite::kAttnNorm:
+      return weights.layer(WeightRefLayer(ref)).attn_norm;
+    case WeightSite::kFfnNorm:
+      return weights.layer(WeightRefLayer(ref)).ffn_norm;
+    case WeightSite::kFinalNorm:
+      return weights.final_norm();
+    default:
+      break;
+  }
+  HCHECK_MSG(false, "weight ref is not a norm gain");
   __builtin_unreachable();
 }
 

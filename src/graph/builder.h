@@ -7,6 +7,7 @@
 
 #include "src/graph/graph.h"
 #include "src/model/model_config.h"
+#include "src/model/weights.h"
 
 namespace heterollm::graph {
 
@@ -31,6 +32,16 @@ WeightSite WeightRefSite(int64_t ref);
 
 // Shape of the referenced parameter.
 tensor::Shape WeightShape(const model::ModelConfig& cfg, int64_t ref);
+
+// True when `ref` names an RmsNorm gain rather than a matmul weight.
+bool IsNormGain(int64_t ref);
+
+// The parameter `ref` names in `weights`: a matmul weight, or an RmsNorm
+// gain. Each aborts on a reference of the other kind.
+const tensor::QuantizedTensor& MatmulWeight(const model::ModelWeights& weights,
+                                            int64_t ref);
+const tensor::Tensor& NormGain(const model::ModelWeights& weights,
+                               int64_t ref);
 
 // Builds the full unfused model graph: `num_layers` decoder blocks, final
 // norm, LM head over the last position is left to the caller (the graph's

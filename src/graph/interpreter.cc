@@ -20,53 +20,6 @@ GraphInterpreter::GraphInterpreter(const model::ModelWeights* weights,
              "the interpreter needs materialized weights");
 }
 
-Tensor GraphInterpreter::WeightTensor(int64_t ref) {
-  for (const auto& [cached_ref, tensor] : dequant_cache_) {
-    if (cached_ref == ref) {
-      return tensor;
-    }
-  }
-  const int layer = WeightRefLayer(ref);
-  Tensor t;
-  switch (WeightRefSite(ref)) {
-    case WeightSite::kWq:
-      t = weights_->layer(layer).wq.DequantizedCached();
-      break;
-    case WeightSite::kWk:
-      t = weights_->layer(layer).wk.DequantizedCached();
-      break;
-    case WeightSite::kWv:
-      t = weights_->layer(layer).wv.DequantizedCached();
-      break;
-    case WeightSite::kWo:
-      t = weights_->layer(layer).wo.DequantizedCached();
-      break;
-    case WeightSite::kWGate:
-      t = weights_->layer(layer).w_gate.DequantizedCached();
-      break;
-    case WeightSite::kWUp:
-      t = weights_->layer(layer).w_up.DequantizedCached();
-      break;
-    case WeightSite::kWDown:
-      t = weights_->layer(layer).w_down.DequantizedCached();
-      break;
-    case WeightSite::kAttnNorm:
-      t = weights_->layer(layer).attn_norm;
-      break;
-    case WeightSite::kFfnNorm:
-      t = weights_->layer(layer).ffn_norm;
-      break;
-    case WeightSite::kFinalNorm:
-      t = weights_->final_norm();
-      break;
-    case WeightSite::kLmHead:
-      t = weights_->lm_head().DequantizedCached();
-      break;
-  }
-  dequant_cache_.emplace_back(ref, t);
-  return t;
-}
-
 StatusOr<std::vector<Tensor>> GraphInterpreter::Run(const Graph& g,
                                                     const Tensor& input) {
   HRETURN_IF_ERROR(g.Validate());
@@ -86,9 +39,14 @@ StatusOr<std::vector<Tensor>> GraphInterpreter::Run(const Graph& g,
       case OpType::kInput:
         values[id] = input;
         break;
-      case OpType::kWeight:
-        values[id] = WeightTensor(n.attrs.weight_ref);
+      case OpType::kWeight: {
+        // Matmul weights dequantize once per process (DequantizedCached).
+        const int64_t ref = n.attrs.weight_ref;
+        values[id] = IsNormGain(ref)
+                         ? NormGain(*weights_, ref)
+                         : MatmulWeight(*weights_, ref).DequantizedCached();
         break;
+      }
       case OpType::kMatmul:
         values[id] = ops::Matmul(in(0), in(1));
         break;
@@ -108,8 +66,8 @@ StatusOr<std::vector<Tensor>> GraphInterpreter::Run(const Graph& g,
         params.num_kv_heads = n.attrs.num_kv_heads;
         params.head_dim = n.attrs.head_dim;
         params.q_pos_offset = past;
-        values[id] = tensor::GqaAttention(in(0), kv_cache_.K(n.attrs.layer),
-                                          kv_cache_.V(n.attrs.layer), params);
+        values[id] = tensor::GqaAttention(
+            in(0), kv_cache_.View(n.attrs.layer), params);
         break;
       }
       case OpType::kSilu:

@@ -36,12 +36,8 @@ class GraphInterpreter {
   int64_t cache_length() const { return kv_cache_.length(); }
 
  private:
-  tensor::Tensor WeightTensor(int64_t ref);
-
   const model::ModelWeights* weights_;
   model::KvCache kv_cache_;
-  // Dequantized parameter cache (refs are stable across runs).
-  std::vector<std::pair<int64_t, tensor::Tensor>> dequant_cache_;
 };
 
 }  // namespace heterollm::graph

@@ -17,8 +17,9 @@ KvCache::KvCache(const ModelConfig& config, int64_t capacity,
     : config_(config),
       mode_(mode),
       capacity_(capacity),
-      private_pool_(std::make_unique<KvBlockPool>(config, capacity,
-                                                  /*num_blocks=*/1, mode)),
+      private_pool_(std::make_unique<KvBlockPool>(
+          config, kKvBlockTokens, BlocksForTokens(capacity, kKvBlockTokens),
+          mode)),
       pool_(private_pool_.get()) {
   appended_.assign(static_cast<size_t>(config.num_layers), 0);
 }
@@ -73,18 +74,17 @@ int64_t KvCache::BlocksForTokens(int64_t tokens, int64_t block_tokens) {
   return (tokens + block_tokens - 1) / block_tokens;
 }
 
+bool KvCache::TailShared() const {
+  return length_ % block_tokens() != 0 && !blocks_.empty() &&
+         pool_->ref_count(blocks_.back()) > 1;
+}
+
 int64_t KvCache::BlocksNeededFor(int64_t rows) const {
   HCHECK(rows >= 1);
-  const int64_t bt = block_tokens();
-  const int64_t have = held_blocks();
-  int64_t need =
-      std::max<int64_t>(0, BlocksForTokens(length_ + rows, bt) - have);
+  const int64_t need = std::max<int64_t>(
+      0, BlocksForTokens(length_ + rows, block_tokens()) - held_blocks());
   // Appending into a shared tail block forks it first (copy-on-write).
-  if (length_ % bt != 0 && have > 0 &&
-      pool_->ref_count(blocks_.back()) > 1) {
-    ++need;
-  }
-  return need;
+  return TailShared() ? need + 1 : need;
 }
 
 void KvCache::AdoptPrefix(const std::vector<int32_t>& blocks, int64_t tokens) {
@@ -113,10 +113,8 @@ bool KvCache::TryReserveStep(int64_t rows) {
   // committed rows first so the other holders never see the new rows. The
   // old tail is not released until the whole reservation has succeeded, so
   // a failure below unwinds to exactly the prior state.
-  const bool fork_needed = length_ % bt != 0 && !blocks_.empty() &&
-                           pool_->ref_count(blocks_.back()) > 1;
   int32_t fork = -1;
-  if (fork_needed) {
+  if (TailShared()) {
     fork = pool_->ForkBlock(blocks_.back(), length_ % bt);
     if (fork < 0) {
       return false;
@@ -217,24 +215,29 @@ int64_t KvCache::visible_rows(int layer) const {
   return length_ + appended_[static_cast<size_t>(layer)];
 }
 
+tensor::PagedKv KvCache::View(int layer) const {
+  tensor::PagedKv view;
+  view.block_tokens = block_tokens();
+  view.rows = visible_rows(layer);
+  view.kv_cols = config_.kv_dim();
+  if (mode_ == ExecutionMode::kCompute) {
+    const int64_t n = BlocksForTokens(view.rows, view.block_tokens);
+    for (int64_t i = 0; i < n; ++i) {
+      const int32_t block = blocks_[static_cast<size_t>(i)];
+      view.k_blocks.push_back(pool_->Data(block, layer, /*want_v=*/false));
+      view.v_blocks.push_back(pool_->Data(block, layer, /*want_v=*/true));
+    }
+  }
+  return view;
+}
+
 tensor::Tensor KvCache::Gather(int layer, bool want_k) const {
-  const int64_t rows = visible_rows(layer);
+  const tensor::PagedKv view = View(layer);
   if (mode_ != ExecutionMode::kCompute) {
-    return Tensor::Deferred(Shape({rows, config_.kv_dim()}),
+    return Tensor::Deferred(Shape({view.rows, view.kv_cols}),
                             tensor::DType::kFp16);
   }
-  if (blocks_.empty() || rows == 0) {
-    return Tensor::Zeros(Shape({0, config_.kv_dim()}), tensor::DType::kFp16);
-  }
-  const int64_t bt = block_tokens();
-  std::vector<Tensor> parts;
-  for (int64_t pos = 0; pos < rows; pos += bt) {
-    const int64_t span = std::min(bt, rows - pos);
-    const int32_t block = blocks_[static_cast<size_t>(pos / bt)];
-    parts.push_back(want_k ? pool_->ReadK(block, layer, span)
-                           : pool_->ReadV(block, layer, span));
-  }
-  return parts.size() == 1 ? std::move(parts[0]) : Tensor::ConcatRows(parts);
+  return tensor::GatherRows(view, /*want_v=*/!want_k);
 }
 
 tensor::Tensor KvCache::K(int layer) const { return Gather(layer, true); }

@@ -5,8 +5,9 @@
 // pool of small refcounted blocks, which lets a scheduler account KV memory
 // at block granularity and share identical prompt prefixes across requests
 // (src/serve/prefix_cache.h). The `(config, capacity, mode)` constructor
-// instead builds a private pool of one `capacity`-token block, owned by the
-// cache: the layout an engine's own session cache needs.
+// builds a private pool owned by the cache, for an engine's own session:
+// ceil(capacity / kKvBlockTokens) blocks of the standard size, allocated as
+// the session grows.
 //
 // Appends are transactional steps:
 //
@@ -17,10 +18,11 @@
 // or, when every layer's rows are at hand, the one-shot equivalent
 // `AppendStep(layer_ks, layer_vs)`. Row-count mismatches, double appends and
 // partial commits are rejected at the API boundary instead of silently
-// leaving the cache in a mixed state. During an open step, `K(layer)` /
-// `V(layer)` include that layer's in-flight rows (attention for layer L runs
-// right after L's append), while `length()` stays at the committed count —
-// exactly the offsets RoPE and causal attention need.
+// leaving the cache in a mixed state. During an open step, `View(layer)`
+// includes that layer's in-flight rows (attention for layer L runs right
+// after L's append), while `length()` stays at the committed count —
+// exactly the offsets RoPE and causal attention need. Attention reads the
+// blocks in place through `View`; `K`/`V` gather copies for inspection.
 
 #ifndef SRC_MODEL_KV_CACHE_H_
 #define SRC_MODEL_KV_CACHE_H_
@@ -30,16 +32,20 @@
 #include <vector>
 
 #include "src/model/model_config.h"
+#include "src/tensor/attention.h"
 #include "src/tensor/tensor.h"
 
 namespace heterollm::model {
+
+// Tokens per KV block of every private pool, and the serving default.
+inline constexpr int64_t kKvBlockTokens = 16;
 
 class KvBlockPool;
 
 class KvCache {
  public:
-  // A cache over a private pool of one block with room for `capacity`
-  // positions. Engines use this for their built-in session cache.
+  // A cache over a private pool of `kKvBlockTokens`-token blocks with room
+  // for `capacity` positions: an engine's built-in session cache.
   KvCache(const ModelConfig& config, int64_t capacity, ExecutionMode mode);
 
   // A view over a shared `pool`: blocks are allocated on append and released
@@ -102,10 +108,17 @@ class KvCache {
 
   // --- views ---------------------------------------------------------------
 
-  // The cached K/V positions of `layer`: all committed rows, plus the rows
-  // `layer` has appended in the currently open step (if any).
+  // The cached K/V positions of `layer` where they live: all committed
+  // rows, plus the rows `layer` has appended in the currently open step (if
+  // any). Shape-only in simulate mode; valid until the block table changes.
+  tensor::PagedKv View(int layer) const;
+
+  // Gathered copies of View(layer), for inspection.
   tensor::Tensor K(int layer) const;
   tensor::Tensor V(int layer) const;
+
+  // Rows of `layer` visible right now (committed + in-flight).
+  int64_t visible_rows(int layer) const;
 
   // Committed positions (in-flight step rows excluded).
   int64_t length() const { return length_; }
@@ -145,8 +158,9 @@ class KvCache {
 
  private:
   void ReleaseAll();
-  // Rows of `layer` visible right now (committed + in-flight).
-  int64_t visible_rows(int layer) const;
+  // Whether the next append lands in a partly filled tail block that
+  // another holder shares, so it must be forked first.
+  bool TailShared() const;
   tensor::Tensor Gather(int layer, bool want_k) const;
 
   ModelConfig config_;

@@ -6,7 +6,6 @@
 
 namespace heterollm::model {
 
-using tensor::Shape;
 using tensor::Tensor;
 
 KvBlockPool::KvBlockPool(const ModelConfig& config, int64_t block_tokens,
@@ -59,7 +58,7 @@ int32_t KvBlockPool::AllocateBlock() {
   ++used_blocks_;
   peak_used_blocks_ = std::max(peak_used_blocks_, used_blocks_);
   if (mode_ == ExecutionMode::kCompute) {
-    MaterializeStorage(b);
+    b.data.assign(Offset(config_.num_layers, false), 0.0f);  // every layer
   }
   return id;
 }
@@ -76,8 +75,7 @@ void KvBlockPool::ReleaseBlock(int32_t block) {
   Block& b = blocks_[static_cast<size_t>(block)];
   HCHECK_MSG(b.refs > 0, "ReleaseBlock on a free block");
   if (--b.refs == 0) {
-    b.k.clear();
-    b.v.clear();
+    std::vector<float>().swap(b.data);
     --used_blocks_;
     free_list_.push_back(block);
   }
@@ -101,15 +99,13 @@ int32_t KvBlockPool::ForkBlock(int32_t src, int64_t rows) {
   }
   ++cow_forks_;
   if (mode_ == ExecutionMode::kCompute && rows > 0) {
-    const Block& from = blocks_[static_cast<size_t>(src)];
-    Block& to = blocks_[static_cast<size_t>(id)];
+    const float* from = blocks_[static_cast<size_t>(src)].data.data();
+    float* to = blocks_[static_cast<size_t>(id)].data.data();
+    const int64_t n = rows * config_.kv_dim();
     for (int layer = 0; layer < config_.num_layers; ++layer) {
-      const auto l = static_cast<size_t>(layer);
-      for (int64_t r = 0; r < rows; ++r) {
-        for (int64_t c = 0; c < config_.kv_dim(); ++c) {
-          to.k[l].Set(r, c, from.k[l].At(r, c));
-          to.v[l].Set(r, c, from.v[l].At(r, c));
-        }
+      for (const bool want_v : {false, true}) {
+        const size_t off = Offset(layer, want_v);
+        std::copy(from + off, from + off + n, to + off);
       }
     }
   }
@@ -122,45 +118,33 @@ void KvBlockPool::WriteRow(int32_t block, int layer, int64_t row,
     return;
   }
   HCHECK(block >= 0 && block < total_blocks_);
+  HCHECK(layer >= 0 && layer < config_.num_layers);
   HCHECK(row >= 0 && row < block_tokens_);
+  const int64_t cols = config_.kv_dim();
+  HCHECK(k.shape().rank() == 2 && k.shape() == v.shape() &&
+         k.shape().cols() == cols);
+  HCHECK(src_row >= 0 && src_row < k.shape().rows());
   Block& b = blocks_[static_cast<size_t>(block)];
   HCHECK_MSG(b.refs > 0, "WriteRow on a free block");
-  for (int64_t c = 0; c < config_.kv_dim(); ++c) {
-    b.k[static_cast<size_t>(layer)].Set(row, c, k.At(src_row, c));
-    b.v[static_cast<size_t>(layer)].Set(row, c, v.At(src_row, c));
-  }
+  float* dst = b.data.data() + row * cols;
+  const float* k_src = k.data().data() + src_row * cols;
+  const float* v_src = v.data().data() + src_row * cols;
+  std::copy(k_src, k_src + cols, dst + Offset(layer, false));
+  std::copy(v_src, v_src + cols, dst + Offset(layer, true));
 }
 
-Tensor KvBlockPool::ReadK(int32_t block, int layer, int64_t rows) const {
+size_t KvBlockPool::Offset(int layer, bool want_v) const {
+  return static_cast<size_t>((2 * layer + (want_v ? 1 : 0)) * block_tokens_ *
+                             config_.kv_dim());
+}
+
+const float* KvBlockPool::Data(int32_t block, int layer, bool want_v) const {
+  HCHECK(mode_ == ExecutionMode::kCompute);
   HCHECK(block >= 0 && block < total_blocks_);
-  if (mode_ != ExecutionMode::kCompute) {
-    return Tensor::Deferred(Shape({rows, config_.kv_dim()}),
-                            tensor::DType::kFp16);
-  }
-  return blocks_[static_cast<size_t>(block)]
-      .k[static_cast<size_t>(layer)]
-      .SliceRows(0, rows);
-}
-
-Tensor KvBlockPool::ReadV(int32_t block, int layer, int64_t rows) const {
-  HCHECK(block >= 0 && block < total_blocks_);
-  if (mode_ != ExecutionMode::kCompute) {
-    return Tensor::Deferred(Shape({rows, config_.kv_dim()}),
-                            tensor::DType::kFp16);
-  }
-  return blocks_[static_cast<size_t>(block)]
-      .v[static_cast<size_t>(layer)]
-      .SliceRows(0, rows);
-}
-
-void KvBlockPool::MaterializeStorage(Block& b) {
-  const Shape shape({block_tokens_, config_.kv_dim()});
-  b.k.reserve(static_cast<size_t>(config_.num_layers));
-  b.v.reserve(static_cast<size_t>(config_.num_layers));
-  for (int layer = 0; layer < config_.num_layers; ++layer) {
-    b.k.push_back(Tensor::Zeros(shape, tensor::DType::kFp16));
-    b.v.push_back(Tensor::Zeros(shape, tensor::DType::kFp16));
-  }
+  HCHECK(layer >= 0 && layer < config_.num_layers);
+  const Block& b = blocks_[static_cast<size_t>(block)];
+  HCHECK_MSG(b.refs > 0, "KV data of a free block");
+  return b.data.data() + Offset(layer, want_v);
 }
 
 KvCache KvBlockPool::MakeCache(int64_t max_tokens) {

@@ -8,10 +8,9 @@
 // prompts across requests share one copy, and `ForkBlock` gives
 // copy-on-write semantics when a session appends into a shared tail block.
 //
-// Two shapes of pool exist. A serving scheduler shares one pool of small
-// blocks across all its sessions. An engine's own cache owns a private pool
-// of one block spanning its whole capacity, so its storage is one
-// contiguous [capacity, kv_dim] tensor per layer.
+// A serving scheduler shares one pool across all its sessions; an engine's
+// own cache owns a private pool. Both use `kKvBlockTokens`-token blocks by
+// default, and attention reads the blocks in place (`KvCache::View`).
 //
 // A soft `usable_blocks` cap lets the scheduler honor runtime KV-budget
 // squeezes (ConditionEvent kv_budget_scale) without reconstructing the
@@ -34,7 +33,7 @@ namespace heterollm::model {
 class KvBlockPool {
  public:
   // A pool of `num_blocks` blocks of `block_tokens` positions each.
-  // Compute-mode pools materialize zeroed per-block tensors on allocation;
+  // Compute-mode pools materialize zeroed per-block storage on allocation;
   // simulate-mode pools are pure bookkeeping.
   KvBlockPool(const ModelConfig& config, int64_t block_tokens,
               int64_t num_blocks, ExecutionMode mode);
@@ -70,10 +69,9 @@ class KvBlockPool {
   void WriteRow(int32_t block, int layer, int64_t row, const tensor::Tensor& k,
                 const tensor::Tensor& v, int64_t src_row);
 
-  // Reads the first `rows` K (resp. V) positions of `block` for `layer` as
-  // a [rows, kv_dim] tensor (shape-only in simulate mode).
-  tensor::Tensor ReadK(int32_t block, int layer, int64_t rows) const;
-  tensor::Tensor ReadV(int32_t block, int layer, int64_t rows) const;
+  // The row-major [block_tokens, kv_dim] K (want_v false) or V storage of
+  // an allocated `block` for `layer`. Compute mode only.
+  const float* Data(int32_t block, int layer, bool want_v) const;
 
   // --- accounting ----------------------------------------------------------
   int64_t total_blocks() const { return total_blocks_; }
@@ -96,13 +94,13 @@ class KvBlockPool {
  private:
   struct Block {
     int refs = 0;  // 0 = on the free list
-    // Compute-mode storage, one K and one V tensor per layer
-    // ([block_tokens, kv_dim]); empty while the block is free.
-    std::vector<tensor::Tensor> k;
-    std::vector<tensor::Tensor> v;
+    // Compute-mode storage: per layer, a K then a V [block_tokens, kv_dim]
+    // row-major array; empty while the block is free.
+    std::vector<float> data;
   };
 
-  void MaterializeStorage(Block& b);
+  // Offset of `layer`'s K (want_v false) or V array within Block::data.
+  size_t Offset(int layer, bool want_v) const;
 
   ModelConfig config_;
   int64_t block_tokens_ = 0;

@@ -58,4 +58,8 @@ ModelConfig ModelConfig::TinyWide() {
   return {"TinyWide", 96, 192, 2, 6, 2, 16, 384};
 }
 
+ModelConfig ModelConfig::Small() {
+  return {"Small", 512, 1408, 1, 8, 4, 64, 1024};
+}
+
 }  // namespace heterollm::model

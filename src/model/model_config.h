@@ -56,6 +56,7 @@ struct ModelConfig {
   // Small configs for compute-mode tests (numerics verified end-to-end).
   static ModelConfig Tiny();       // 2 layers, hidden 64
   static ModelConfig TinyWide();   // 2 layers, hidden 96, GQA 3:1
+  static ModelConfig Small();      // 1 layer, hidden 512: cuts, unlike Tiny
 };
 
 }  // namespace heterollm::model

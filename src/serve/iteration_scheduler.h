@@ -47,6 +47,7 @@
 
 #include "src/common/status.h"
 #include "src/core/engine_base.h"
+#include "src/model/kv_cache.h"
 #include "src/serve/request_queue.h"
 #include "src/serve/serving_metrics.h"
 
@@ -110,7 +111,7 @@ struct SchedulerOptions {
   Bytes kv_budget_bytes = 256 * kMiB;
   // Tokens per KV block. Smaller blocks track conversation footprints more
   // exactly and share finer prefixes; larger blocks cut bookkeeping.
-  int64_t kv_block_tokens = 16;
+  int64_t kv_block_tokens = model::kKvBlockTokens;
   // Share committed prompt blocks across requests with identical prompt
   // heads (needs traces that carry `Request::prompt_tokens`).
   bool enable_prefix_cache = true;

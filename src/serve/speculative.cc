@@ -25,6 +25,27 @@ Tensor TokenEmbedding(const model::ModelConfig& config, int32_t token,
   return Tensor::Random(shape, rng, 0.1f, tensor::DType::kFp16);
 }
 
+namespace {
+
+// The prompt's token embeddings as one [tokens, hidden] input.
+Tensor PromptEmbeddings(const model::ModelConfig& config,
+                        const std::vector<int32_t>& prompt, ExecutionMode mode,
+                        uint64_t seed) {
+  if (mode == ExecutionMode::kSimulate) {
+    return Tensor::Deferred(
+        Shape({static_cast<int64_t>(prompt.size()), config.hidden}),
+        tensor::DType::kFp16);
+  }
+  std::vector<Tensor> rows;
+  rows.reserve(prompt.size());
+  for (int32_t t : prompt) {
+    rows.push_back(TokenEmbedding(config, t, mode, seed));
+  }
+  return Tensor::ConcatRows(rows);
+}
+
+}  // namespace
+
 int32_t Argmax(const Tensor& logits, int64_t row) {
   HCHECK(logits.has_data());
   HCHECK(row >= 0 && row < logits.shape().rows());
@@ -100,44 +121,21 @@ void SpeculativeDecoder::Prefill(const std::vector<int32_t>& prompt) {
   prefilled_ = true;
   const model::ModelConfig& cfg = engine_->model_config();
 
-  // Prompt embeddings (one deferred block in simulate mode).
-  Tensor input;
-  if (mode_ == ExecutionMode::kSimulate) {
-    input = Tensor::Deferred(
-        Shape({static_cast<int64_t>(prompt.size()), cfg.hidden}),
-        tensor::DType::kFp16);
-  } else {
-    std::vector<Tensor> rows;
-    rows.reserve(prompt.size());
-    for (int32_t t : prompt) {
-      rows.push_back(TokenEmbedding(cfg, t, mode_, options_.seed));
-    }
-    input = Tensor::ConcatRows(rows);
-  }
   core::PhaseStats ps = engine_->Step(
-      {core::Phase::kPrefill, {cache_}, input, /*all_rows_logits=*/false});
+      {core::Phase::kPrefill,
+       {cache_},
+       PromptEmbeddings(cfg, prompt, mode_, options_.seed),
+       /*all_rows_logits=*/false});
 
   if (options_.draft_engine != nullptr) {
     const model::ModelConfig& dcfg = options_.draft_engine->model_config();
     draft_cache_ = std::make_unique<KvCache>(dcfg, cache_->capacity(), mode_);
-    Tensor dinput;
-    if (mode_ == ExecutionMode::kSimulate) {
-      dinput = Tensor::Deferred(
-          Shape({static_cast<int64_t>(prompt.size()), dcfg.hidden}),
-          tensor::DType::kFp16);
-    } else {
-      std::vector<Tensor> rows;
-      rows.reserve(prompt.size());
-      for (int32_t t : prompt) {
-        rows.push_back(TokenEmbedding(dcfg, t, mode_, options_.seed));
-      }
-      dinput = Tensor::ConcatRows(rows);
-    }
     options_.draft_engine->AdvanceHostTo(engine_->host_now());
-    options_.draft_engine->Step({core::Phase::kPrefill,
-                                 {draft_cache_.get()},
-                                 dinput,
-                                 /*all_rows_logits=*/false});
+    options_.draft_engine->Step(
+        {core::Phase::kPrefill,
+         {draft_cache_.get()},
+         PromptEmbeddings(dcfg, prompt, mode_, options_.seed),
+         /*all_rows_logits=*/false});
     engine_->AdvanceHostTo(options_.draft_engine->host_now());
   }
 

@@ -6,6 +6,7 @@
 // the golden timeline digests (timeline_digest_test.cc).
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,58 +30,97 @@ using tensor::Shape;
 using tensor::Tensor;
 
 // Numerics reference: the graph interpreter running the unoptimized model
-// graph (prefill, then two decodes). Replay runs the same kernels on the
-// same operands, so every engine whose matmuls stay FLOAT agrees exactly —
-// with or without the fused-QKV pass, at any kernel thread count.
-class ScheduleEquivalenceTest : public ::testing::TestWithParam<const char*> {
-};
-
-TEST_P(ScheduleEquivalenceTest, CompiledReplayMatchesInterpreterExactly) {
-  const std::string engine_name = GetParam();
-  const ModelConfig cfg = ModelConfig::Tiny();
-  const ModelWeights weights =
-      ModelWeights::Create(cfg, ExecutionMode::kCompute, 99);
-
-  // Misaligned prompt length exercises padding / pipe / seq-cut plans.
-  Rng rng(123);
-  const std::vector<Tensor> inputs = {
-      Tensor::Random(Shape({37, cfg.hidden}), rng, 0.1f),
-      Tensor::Random(Shape({1, cfg.hidden}), rng, 0.1f),
-      Tensor::Random(Shape({1, cfg.hidden}), rng, 0.1f)};
-
-  // Outputs per step: [final hidden states, logits of every row].
+// graph over `inputs` (a prefill, then decodes). Each step's outputs are
+// [final hidden states, logits of every row].
+std::vector<std::vector<Tensor>> InterpreterOutputs(
+    const ModelWeights& weights, const std::vector<Tensor>& inputs) {
+  const ModelConfig& cfg = weights.config();
   graph::Graph g = graph::BuildModelGraph(cfg);
-  ASSERT_TRUE(graph::InferShapes(&g, cfg, 37).ok());
+  EXPECT_TRUE(graph::InferShapes(&g, cfg, inputs[0].shape().rows()).ok());
   graph::GraphInterpreter interp(&weights);
   std::vector<std::vector<Tensor>> refs;
   for (const Tensor& input : inputs) {
     auto ref = interp.Run(g, input);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    EXPECT_TRUE(ref.ok()) << ref.status().ToString();
     refs.push_back(std::move(ref.value()));
   }
+  return refs;
+}
 
+// A prompt of `prompt_rows` rows, then `decodes` single-row steps.
+std::vector<Tensor> SessionInputs(const ModelConfig& cfg, int64_t prompt_rows,
+                                  int decodes) {
+  Rng rng(123);
+  std::vector<Tensor> inputs = {
+      Tensor::Random(Shape({prompt_rows, cfg.hidden}), rng, 0.1f)};
+  for (int d = 0; d < decodes; ++d) {
+    inputs.push_back(Tensor::Random(Shape({1, cfg.hidden}), rng, 0.1f));
+  }
+  return inputs;
+}
+
+// Replays `inputs` through a fresh `engine_name` engine and expects every
+// step to match the interpreter's `refs` bit for bit. Returns the partition
+// kinds of the prefill's matmuls, read from the MatmulPlans of the graph
+// placed by the engine that ran.
+std::set<PartitionKind> ExpectReplayMatches(
+    const std::string& engine_name, const ModelWeights& weights,
+    const std::vector<Tensor>& inputs,
+    const std::vector<std::vector<Tensor>>& refs, bool fuse_qkv,
+    int threads) {
+  SCOPED_TRACE(engine_name + (fuse_qkv ? " fuse_qkv" : "") +
+               " kernel_threads=" + std::to_string(threads));
+  Platform platform(PlatformOptionsFor(engine_name));
+  EngineOptions opts;
+  opts.fuse_qkv = fuse_qkv;
+  opts.kernel_threads = threads;
+  auto engine = CreateEngine(engine_name, &platform, &weights, opts);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const PhaseStats stats = i == 0 ? engine->Prefill(inputs[i])
+                                    : engine->DecodeStep(inputs[i]);
+    // The engine keeps the last row's logits.
+    const Tensor& ref_logits = refs[i][1];
+    const int64_t rows = ref_logits.shape().rows();
+    EXPECT_EQ(Tensor::MaxAbsDiff(stats.hidden, refs[i][0]), 0.0f)
+        << "step " << i;
+    EXPECT_EQ(Tensor::MaxAbsDiff(stats.logits,
+                                 ref_logits.SliceRows(rows - 1, rows)),
+              0.0f)
+        << "step " << i;
+  }
+
+  const ModelConfig& cfg = weights.config();
+  graph::Graph g = graph::BuildModelGraph(cfg);
+  EXPECT_TRUE(graph::InferShapes(&g, cfg, inputs[0].shape().rows()).ok());
+  StatusOr<graph::PlacedGraph> placed =
+      graph::PlaceGraph(g, Phase::kPrefill, engine.get());
+  EXPECT_TRUE(placed.ok()) << placed.status().ToString();
+  std::set<PartitionKind> kinds;
+  for (const graph::NodePlacement& p : placed.value().placements) {
+    if (p.is_matmul) {
+      kinds.insert(p.plan.kind);
+    }
+  }
+  return kinds;
+}
+
+// Replay runs the same kernels on the same operands as the interpreter, so
+// every engine whose matmuls stay FLOAT agrees exactly — with or without the
+// fused-QKV pass, at any kernel thread count. A misaligned prompt length
+// exercises padding / pipe / seq-cut plans.
+class ScheduleEquivalenceTest : public ::testing::TestWithParam<const char*> {
+};
+
+TEST_P(ScheduleEquivalenceTest, CompiledReplayMatchesInterpreterExactly) {
+  const ModelConfig cfg = ModelConfig::Tiny();
+  const ModelWeights weights =
+      ModelWeights::Create(cfg, ExecutionMode::kCompute, 99);
+  const std::vector<Tensor> inputs = SessionInputs(cfg, 37, /*decodes=*/2);
+  const auto refs = InterpreterOutputs(weights, inputs);
   for (const bool fuse_qkv : {false, true}) {
     for (const int threads : {1, 2}) {
-      SCOPED_TRACE(engine_name + (fuse_qkv ? " fuse_qkv" : "") +
-                   " kernel_threads=" + std::to_string(threads));
-      Platform platform(PlatformOptionsFor(engine_name));
-      EngineOptions opts;
-      opts.fuse_qkv = fuse_qkv;
-      opts.kernel_threads = threads;
-      auto engine = CreateEngine(engine_name, &platform, &weights, opts);
-      for (size_t i = 0; i < inputs.size(); ++i) {
-        const PhaseStats stats = i == 0 ? engine->Prefill(inputs[i])
-                                        : engine->DecodeStep(inputs[i]);
-        // The engine keeps the last row's logits.
-        const Tensor& ref_logits = refs[i][1];
-        const int64_t rows = ref_logits.shape().rows();
-        EXPECT_EQ(Tensor::MaxAbsDiff(stats.hidden, refs[i][0]), 0.0f)
-            << "step " << i;
-        EXPECT_EQ(Tensor::MaxAbsDiff(stats.logits,
-                                     ref_logits.SliceRows(rows - 1, rows)),
-                  0.0f)
-            << "step " << i;
-      }
+      ExpectReplayMatches(GetParam(), weights, inputs, refs, fuse_qkv,
+                          threads);
     }
   }
 }
@@ -101,6 +141,60 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, ScheduleEquivalenceTest,
                            }
                            return name;
                          });
+
+// Tiny is too small for any cut: Hetero-tensor runs its matmuls whole on
+// the GPU. Small does cut, so the replay check also runs on it at prompts
+// 37, 64 and 256 (256 rows span 16 KV blocks), each followed by one decode.
+// Each case asserts the partition kinds it relies on, so a solver or cost
+// change that stops cutting fails here instead of passing quietly.
+TEST(ScheduleEquivalenceTest, SmallModelReplayMatchesInterpreterExactly) {
+  using K = PartitionKind;
+  struct Case {
+    int64_t prompt;
+    const char* engine;
+    std::set<PartitionKind> relies_on;
+  };
+  // At 37 rows Hetero-tensor gives the FFN a hybrid cut: padded rows on the
+  // NPU over part of the output features, the rest on the GPU. The other
+  // kHybridCuts put every feature on the NPU: plain padding. Aligned
+  // prompts run whole on the NPU under Hetero-layer, Padding and Chunked.
+  const Case cases[] = {
+      {37, "Hetero-tensor", {K::kHybridCut}},
+      {37, "Hetero-layer", {K::kHybridCut}},
+      {37, "Pipe", {K::kSeqCut}},
+      {37, "Padding", {K::kHybridCut}},
+      {37, "Chunked", {K::kHybridCut}},
+      {64, "Hetero-tensor", {K::kRowCut, K::kSeqCut}},
+      {64, "Hetero-layer", {K::kNone}},
+      {64, "Pipe", {K::kSeqCut}},
+      {64, "Padding", {K::kNone}},
+      {64, "Chunked", {K::kNone}},
+      {256, "Hetero-tensor", {K::kRowCut, K::kSeqCut}},
+      {256, "Hetero-layer", {K::kNone}},
+      {256, "Pipe", {K::kSeqCut}},
+      {256, "Padding", {K::kNone}},
+      {256, "Chunked", {K::kNone}},
+  };
+  const ModelConfig cfg = ModelConfig::Small();
+  const ModelWeights weights =
+      ModelWeights::Create(cfg, ExecutionMode::kCompute, 99);
+  std::vector<Tensor> inputs;
+  std::vector<std::vector<Tensor>> refs;
+  for (const Case& c : cases) {
+    SCOPED_TRACE("prompt " + std::to_string(c.prompt));
+    if (inputs.empty() || inputs[0].shape().rows() != c.prompt) {
+      inputs = SessionInputs(cfg, c.prompt, /*decodes=*/1);
+      refs = InterpreterOutputs(weights, inputs);
+    }
+    const std::set<PartitionKind> kinds =
+        ExpectReplayMatches(c.engine, weights, inputs, refs,
+                            /*fuse_qkv=*/false, /*threads=*/2);
+    for (const PartitionKind kind : c.relies_on) {
+      EXPECT_EQ(kinds.count(kind), 1u)
+          << c.engine << " no longer places a " << PartitionKindName(kind);
+    }
+  }
+}
 
 // Fused-QKV execution (FuseQkv pass -> one matmul + column slices) must
 // match the graph interpreter running the same optimized graph.

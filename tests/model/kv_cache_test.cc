@@ -235,6 +235,39 @@ TEST(KvCacheTest, MoveLeavesSourceInert) {
   // release the block the target now owns.
 }
 
+// The capacity constructor's private pool hands out standard blocks as the
+// session grows, and gives them all back on Reset.
+TEST(KvCacheTest, PrivatePoolGrowsInStandardBlocks) {
+  ModelConfig cfg = ModelConfig::Tiny();
+  KvCache cache(cfg, 128, ExecutionMode::kCompute);
+  EXPECT_EQ(cache.block_tokens(), kKvBlockTokens);
+  EXPECT_EQ(cache.held_blocks(), 0);
+  Rng rng(12);
+  for (const int64_t rows : {5, 11, 1, 16, 20}) {
+    AppendRows(&cache, cfg, rows, rng);
+    EXPECT_EQ(cache.held_blocks(),
+              KvCache::BlocksForTokens(cache.length(), kKvBlockTokens))
+        << "length " << cache.length();
+  }
+  EXPECT_EQ(cache.length(), 53);
+  EXPECT_EQ(cache.held_blocks(), 4);
+  cache.Reset();
+  EXPECT_EQ(cache.held_blocks(), 0);
+}
+
+// A capacity that is not a multiple of the block size still fills to the
+// last position, and one row past it overflows.
+TEST(KvCacheDeathTest, RaggedCapacityFillsThenOverflows) {
+  ModelConfig cfg = ModelConfig::Tiny();
+  KvCache cache(cfg, 37, ExecutionMode::kCompute);
+  Rng rng(13);
+  AppendRows(&cache, cfg, 36, rng);
+  AppendRows(&cache, cfg, 1, rng);
+  EXPECT_EQ(cache.length(), 37);
+  EXPECT_EQ(cache.held_blocks(), 3);
+  EXPECT_DEATH(cache.BeginStep(1), "overflow");
+}
+
 TEST(KvCacheDeathTest, RollbackDuringOpenStepAborts) {
   ModelConfig cfg = ModelConfig::Tiny();
   KvCache cache(cfg, 16, ExecutionMode::kCompute);

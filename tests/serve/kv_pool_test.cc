@@ -1,10 +1,12 @@
 // Block pool + prefix cache: refcounts, copy-on-write, fragmentation
-// accounting, LRU eviction, and compute-mode equivalence of the pooled
-// KvCache view against a single-block private cache.
+// accounting, LRU eviction, and compute-mode equivalence of KvCache views
+// across block sizes.
 
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -130,9 +132,12 @@ TEST(KvBlockPoolTest, SharedTailBlockForksOnAppend) {
 
   // B sees the copied prefix rows plus its append; the shared original is
   // untouched.
-  EXPECT_EQ(Tensor::MaxAbsDiff(b.K(0).SliceRows(0, 2),
-                               pool.ReadK(shared, 0, 2)),
-            0.0f);
+  const float* cached = pool.Data(shared, 0, /*want_v=*/false);
+  const Tensor cached_rows = Tensor::FromData(
+      Shape({2, cfg.kv_dim()}),
+      std::vector<float>(cached, cached + 2 * cfg.kv_dim()));
+  EXPECT_EQ(Tensor::MaxAbsDiff(b.K(0).SliceRows(0, 2), cached_rows), 0.0f);
+  EXPECT_EQ(Tensor::MaxAbsDiff(cached_rows, k0), 0.0f);
   EXPECT_EQ(b.K(0).shape().rows(), 3);
   EXPECT_EQ(b.length(), 3);
   pool.ReleaseBlock(shared);
@@ -207,9 +212,9 @@ TEST(PrefixCacheTest, EvictionIsLruWithTouchRefresh) {
   EXPECT_EQ(prefix.Acquire(prompt_b).tokens, 32);
 }
 
-// The acceptance bar for the cache redesign: a pooled KvCache view and the
-// single-block contiguous cache produce bit-identical logits on a full
-// compute-mode generate (prefill + decode steps).
+// Block size is storage layout only: caches over 4-token, 16-token and
+// capacity-sized blocks hold identical K/V and give bit-identical hidden
+// states and logits on a full compute-mode generate (prefill + decode steps).
 TEST(PooledComputeTest, PooledCacheMatchesContiguousBitExact) {
   const ModelConfig cfg = ModelConfig::Tiny();
   const ModelWeights weights =
@@ -222,26 +227,56 @@ TEST(PooledComputeTest, PooledCacheMatchesContiguousBitExact) {
   core::Platform platform(core::PlatformOptionsFor("Hetero-tensor"));
   auto engine = core::CreateEngine("Hetero-tensor", &platform, &weights);
 
-  auto logits = [&](KvCache* cache, core::Phase phase, const Tensor& input) {
-    return engine->Step({phase, {cache}, input, /*all_rows_logits=*/false})
-        .logits;
+  constexpr int64_t kCapacity = 64;
+  struct Run {
+    std::vector<Tensor> outputs;  // hidden and logits of every step
+    std::vector<Tensor> kv;       // K and V of every layer at the end
+    int64_t held_blocks = 0;
   };
-  KvCache contiguous(cfg, 64, ExecutionMode::kCompute);
-  const Tensor lp_c = logits(&contiguous, core::Phase::kPrefill, prompt);
-  const Tensor l1_c = logits(&contiguous, core::Phase::kDecode, tok1);
-  const Tensor l2_c = logits(&contiguous, core::Phase::kDecode, tok2);
+  auto run = [&](int64_t block_tokens) {
+    KvBlockPool pool(cfg, block_tokens,
+                     KvCache::BlocksForTokens(kCapacity, block_tokens),
+                     ExecutionMode::kCompute);
+    KvCache cache = pool.MakeCache(kCapacity);
+    Run r;
+    for (const auto& [phase, input] :
+         {std::pair{core::Phase::kPrefill, prompt},
+          std::pair{core::Phase::kDecode, tok1},
+          std::pair{core::Phase::kDecode, tok2}}) {
+      const core::PhaseStats stats =
+          engine->Step({phase, {&cache}, input, /*all_rows_logits=*/false});
+      r.outputs.push_back(stats.hidden);
+      r.outputs.push_back(stats.logits);
+    }
+    for (int l = 0; l < cfg.num_layers; ++l) {
+      r.kv.push_back(cache.K(l));
+      r.kv.push_back(cache.V(l));
+    }
+    r.held_blocks = cache.held_blocks();
+    return r;
+  };
 
-  KvBlockPool pool(cfg, /*block_tokens=*/16, /*num_blocks=*/8,
-                   ExecutionMode::kCompute);
-  KvCache pooled = pool.MakeCache(64);
-  const Tensor lp_p = logits(&pooled, core::Phase::kPrefill, prompt);
-  const Tensor l1_p = logits(&pooled, core::Phase::kDecode, tok1);
-  const Tensor l2_p = logits(&pooled, core::Phase::kDecode, tok2);
-
-  EXPECT_EQ(Tensor::MaxAbsDiff(lp_c, lp_p), 0.0f);
-  EXPECT_EQ(Tensor::MaxAbsDiff(l1_c, l1_p), 0.0f);
-  EXPECT_EQ(Tensor::MaxAbsDiff(l2_c, l2_p), 0.0f);
-  EXPECT_EQ(pooled.held_blocks(), 2);  // 24 + 2 tokens in 16-token blocks
+  const Run contiguous = run(kCapacity);
+  EXPECT_EQ(contiguous.held_blocks, 1);
+  // 24 + 2 tokens: 7 blocks of 4, 2 blocks of 16.
+  for (const auto& [block_tokens, blocks] :
+       {std::pair<int64_t, int64_t>{4, 7}, {16, 2}}) {
+    SCOPED_TRACE("block_tokens=" + std::to_string(block_tokens));
+    const Run paged = run(block_tokens);
+    EXPECT_EQ(paged.held_blocks, blocks);
+    ASSERT_EQ(paged.outputs.size(), contiguous.outputs.size());
+    for (size_t i = 0; i < paged.outputs.size(); ++i) {
+      EXPECT_EQ(Tensor::MaxAbsDiff(paged.outputs[i], contiguous.outputs[i]),
+                0.0f)
+          << "output " << i;
+    }
+    ASSERT_EQ(paged.kv.size(), contiguous.kv.size());
+    for (size_t i = 0; i < paged.kv.size(); ++i) {
+      EXPECT_EQ(paged.kv[i].shape().rows(), 26);
+      EXPECT_EQ(Tensor::MaxAbsDiff(paged.kv[i], contiguous.kv[i]), 0.0f)
+          << "kv " << i;
+    }
+  }
 }
 
 // Prefix reuse is numerically faithful: prefilling from a cached-prefix

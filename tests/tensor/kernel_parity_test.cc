@@ -6,6 +6,7 @@
 // FP accumulation order, the paths must agree to the last bit — every
 // comparison below is MaxAbsDiff == 0, not a tolerance.
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -128,6 +129,55 @@ TEST(KernelParityTest, GqaAttentionBitExactAcrossThreadCounts) {
   Tensor k = Tensor::Random(Shape({18, 16}), rng);
   Tensor v = Tensor::Random(Shape({18, 16}), rng);
   ExpectBitExactAcrossThreads([&] { return GqaAttention(q, k, v, p); });
+}
+
+// The paged view reads rows where they live: the same K/V laid out as 16-row
+// blocks with a ragged 5-row tail give the one-block output bit for bit, on
+// the scalar oracle and the blocked kernel alike. Rows past the visible
+// span hold NaN, so a read beyond it would show.
+TEST(KernelParityTest, GqaAttentionPagedViewMatchesOneBlock) {
+  Rng rng(110);
+  AttentionParams p{/*num_heads=*/6, /*num_kv_heads=*/2, /*head_dim=*/8,
+                    /*q_pos_offset=*/30};
+  const int64_t rows = 37;
+  const int64_t cols = 16;
+  const int64_t bt = 16;
+  Tensor q = Tensor::Random(Shape({7, 48}), rng);
+  Tensor k = Tensor::Random(Shape({rows, cols}), rng);
+  Tensor v = Tensor::Random(Shape({rows, cols}), rng);
+
+  std::vector<std::vector<float>> storage;
+  PagedKv paged;
+  paged.block_tokens = bt;
+  paged.rows = rows;
+  paged.kv_cols = cols;
+  for (int64_t t0 = 0; t0 < rows; t0 += bt) {
+    const int64_t n = std::min(bt, rows - t0);
+    for (const Tensor* src : {&k, &v}) {
+      std::vector<float>& block = storage.emplace_back(
+          static_cast<size_t>(bt * cols),
+          std::numeric_limits<float>::quiet_NaN());
+      std::copy(src->data().begin() + t0 * cols,
+                src->data().begin() + (t0 + n) * cols, block.begin());
+    }
+  }
+  for (size_t b = 0; b < storage.size(); b += 2) {
+    paged.k_blocks.push_back(storage[b].data());
+    paged.v_blocks.push_back(storage[b + 1].data());
+  }
+  ASSERT_EQ(paged.k_blocks.size(), 3u);
+
+  for (int threads : {1, 2, 3, 8}) {
+    KernelThreadScope scope(threads);
+    const Tensor out = GqaAttention(q, paged, p);
+    // MaxAbsDiff skips NaN elements, so check them directly.
+    EXPECT_TRUE(std::all_of(out.data().begin(), out.data().end(),
+                            [](float x) { return std::isfinite(x); }))
+        << threads << " threads";
+    EXPECT_EQ(Tensor::MaxAbsDiff(GqaAttention(q, k, v, p), out), 0.0f)
+        << threads << " threads";
+  }
+  ExpectBitExactAcrossThreads([&] { return GqaAttention(q, paged, p); });
 }
 
 TEST(KernelParityTest, FullGroupAndRaggedGroupQuantizeAgree) {
